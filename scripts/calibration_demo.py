@@ -26,9 +26,10 @@ def main() -> None:
                                    cal.REFERENCE_THETA.as_array(),
                                    result.theta_star.as_array()):
         print(f"{name:>10} {true_v:12.6f} {fit_v:12.6f}")
-    print("note: the spread loadings beta are not identified by a noiseless")
-    print("fit (the per-day linear stage absorbs them); the curve parameters")
-    print("(a, sigma) are pinned to ~1e-5 while beta may land elsewhere.")
+    print("note: on this noiseless panel the fit stops short of the generator")
+    print("(SSE there is about 1e-28) although the outer Jacobian is well")
+    print("conditioned (about 23) and the run reports converged; see ROADMAP")
+    print("open item 2.")
 
     print("\nend-of-window relative yield errors:",
           np.array2string(metrics.yield_errors, precision=3))

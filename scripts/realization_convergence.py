@@ -6,16 +6,12 @@ grid at a ladder of (dt, dx) resolutions.  The gap is pure scheme error —
 the realization is exact — so it should shrink roughly linearly.
 """
 
-import math
-
 import numpy as np
 
+from mchjm import calibration as cal
 from mchjm import dynamics, fdr, qe
 from mchjm.curves import AnalyticCurve, MultiCurveState
 
-SIGMA = (0.00285941, 0.09546952, 0.09083773)
-A = (0.53041117, 0.66253001, 0.65812121)
-BETA = (0.41734616, 0.82477578)
 NS = (0.025, -0.010, 0.004)
 YM0 = (0.0035, 0.0070)
 N_PATHS = 16
@@ -24,21 +20,20 @@ SEED = 20
 
 
 def sup_gap(dt: float, dx: float) -> float:
+    """Sup over paths, record times and grid of |embedded state - HJM curve|."""
+    theta = cal.DEFAULT_THETA0
     grid = np.linspace(0.0, 10.0, int(round(10.0 / dx)) + 1)
-    spec = dynamics.hull_white_three_curve_spec(SIGMA, A, BETA)
-    curves = tuple(AnalyticCurve(qe.nelson_siegel(*NS, decay=a)) for a in A)
+    spec = dynamics.hull_white_three_curve_spec(theta.sigma, theta.a, theta.beta)
+    curves = tuple(AnalyticCurve(qe.nelson_siegel(*NS, decay=a)) for a in theta.a)
     initial = MultiCurveState(curves, np.array(YM0))
     cfg = dynamics.SimConfig(dt=dt, horizon=HORIZON, n_paths=N_PATHS,
                              seed=SEED, grid=grid)
-    n_steps = cfg.n_steps
     rng = np.random.default_rng(SEED)
-    increments = rng.normal(0.0, math.sqrt(dt), size=(N_PATHS, n_steps, 1))
+    increments = rng.normal(0.0, np.sqrt(dt), size=(N_PATHS, cfg.n_steps, 1))
     record = tuple(np.round(np.linspace(0.0, HORIZON, 11), 12))
 
     paths = dynamics.simulate_hjm(initial, spec, cfg, increments=increments,
                                   record_times=record)
-    theta = type("T", (), {"sigma": np.array(SIGMA), "a": np.array(A),
-                           "beta": np.array(BETA)})
     real = fdr.build_hw3_fdr(theta, NS, np.array(YM0))
     states = fdr.simulate_state(real, cfg, increments=increments,
                                 record_times=record)

@@ -24,7 +24,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -54,6 +54,7 @@ __all__ = [
     "residual",
     "inner_solve",
     "outer_calibrate",
+    "model_observables",
     "error_metrics",
     "window_sweep",
     "stability_analysis",
@@ -198,6 +199,8 @@ class MarketSnapshot:
         x = np.asarray(self.maturities, dtype=float).copy()
         b = np.asarray(self.bonds, dtype=float).copy()
         s = np.asarray(self.log_spreads, dtype=float).copy()
+        if not all(np.all(np.isfinite(arr)) for arr in (x, b, s)):
+            raise ValueError("maturities, bond prices and log-spreads must be finite")
         if x.ndim != 1 or x.size == 0:
             raise ValueError("maturities must be a non-empty 1-d array")
         if np.any(x <= 0) or np.any(np.diff(x) <= 0):
@@ -249,7 +252,11 @@ class DayFit:
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Outer-solver bookkeeping attached to a calibration result."""
+    """Outer-solver bookkeeping attached to a calibration result.
+
+    ``nfev`` counts every evaluation of the stacked objective, those made
+    for finite-difference Jacobians included; ``njev`` counts Jacobians.
+    """
 
     nfev: int
     njev: int
@@ -303,74 +310,8 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# closed-form affine structure of the model observables
+# per-day residual map
 # ---------------------------------------------------------------------------
-
-
-def _em(a: float, t: float) -> float:
-    return (1.0 - math.exp(-a * t)) / a
-
-
-def _emx(a: float, t: float) -> float:
-    return (1.0 - (1.0 + a * t) * math.exp(-a * t)) / (a * a)
-
-
-def _em_sq(a: float, t: float) -> float:
-    return t - 2.0 * _em(a, t) + (1.0 - math.exp(-2.0 * a * t)) / (2.0 * a)
-
-
-def _model_affine(a, sig, beta, t: float, x: np.ndarray):
-    """Affine coefficients of the model observables in ``u = (z1, y)``.
-
-    Returns ``(Wz, Wy, c)`` with shapes (3n+2, 4), (3n+2, 3), (3n+2,) such
-    that ``Wz @ z1 + Wy @ y + c`` stacks the model yields for the three
-    curves (rows 0..3n-1, curve-major) followed by the two model log-spreads
-    *without* the constant day-0 offsets ``y^M``.
-    """
-    a = np.asarray(a, dtype=float)
-    sig = np.asarray(sig, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    rows = 3 * n + 2
-    Wz = np.empty((rows, 4))
-    Wy = np.empty((rows, 3))
-    c = np.empty(rows)
-
-    for j in range(3):
-        aj, sj = a[j], sig[j]
-        btj = 0.0 if j == 0 else beta[j - 1]
-        eax = np.exp(-aj * x)
-        v = (1.0 - eax) / aj                      # int_0^x e^{-a u} du
-        vv = (1.0 - np.exp(-2.0 * aj * x)) / (2.0 * aj)
-        w = (1.0 - (1.0 + aj * x) * eax) / (aj * aj)   # int_0^x u e^{-a u} du
-        eat = math.exp(-aj * t)
-        ratio = sj / aj
-        drift2 = 0.5 * ratio * ratio * (math.exp(-2.0 * aj * t) - 1.0)
-        drift1 = -ratio * (ratio - btj) * (eat - 1.0)
-        sl = slice(j * n, (j + 1) * n)
-        load = sj * v / x
-        Wz[sl, 0] = load
-        Wz[sl, 1] = -aj * load
-        Wz[sl, 2] = aj * aj * load
-        Wz[sl, 3] = -(aj ** 3) * load
-        Wy[sl, 0] = 1.0
-        Wy[sl, 1] = eat * v / x
-        Wy[sl, 2] = eat * (w + t * v) / x
-        c[sl] = (drift2 * vv + drift1 * v) / x
-
-    a0, s0 = a[0], sig[0]
-    for j in (1, 2):
-        r = 3 * n + j - 1
-        aj, sj, btj = a[j], sig[j], beta[j - 1]
-        Wz[r] = (btj, s0 - sj, aj * sj - a0 * s0, a0 * a0 * s0 - aj * aj * sj)
-        Wy[r] = (0.0, _em(a0, t) - _em(aj, t), _emx(a0, t) - _emx(aj, t))
-        c[r] = (
-            0.5 * ((s0 / a0) ** 2 * _em_sq(a0, t) - (sj / aj) ** 2 * _em_sq(aj, t))
-            + btj * (sj / aj) * (t - _em(aj, t))
-            - 0.5 * btj * btj * t
-        )
-    return Wz, Wy, c
 
 
 def _elapsed(snapshot: MarketSnapshot) -> float:
@@ -411,7 +352,7 @@ def residual(
         raise ValueError("y must have shape (3,)")
     t = _elapsed(snapshot) if t_elapsed is None else float(t_elapsed)
     base = _base_spreads(snapshot, base_spreads)
-    Wz, Wy, c = _model_affine(theta.a, theta.sigma, theta.beta, t, snapshot.maturities)
+    Wz, Wy, c = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta, t, snapshot.maturities)
     model = Wz @ z1 + Wy @ y + c
     n = snapshot.n
     out = np.empty(3 * n + 2)
@@ -422,7 +363,7 @@ def residual(
 
 def _day_system(a, sig, beta, t, snapshot: MarketSnapshot, base):
     """Design matrix and offset with ``residual = A @ u + c`` for u = (z1, y)."""
-    Wz, Wy, c = _model_affine(a, sig, beta, t, snapshot.maturities)
+    Wz, Wy, c = fdr.hw3_affine_observables(a, sig, beta, t, snapshot.maturities)
     n = snapshot.n
     A = np.empty((3 * n + 2, 7))
     A[: 3 * n, :4] = -Wz[: 3 * n]
@@ -450,21 +391,13 @@ def inner_solve(
 ) -> InnerSolution:
     """Minimize the day's residual norm over the linear variables (z1, y).
 
-    The affine map ``Res(u) = A u + c`` is assembled from eight residual
-    evaluations (the base point plus the seven unit directions) and solved
-    by SVD with singular values below ``1e-12 * s_max`` treated as zero.
-    A design matrix of rank < 7 yields the minimal-norm solution and sets
-    ``rank_deficient``.
+    The affine map ``Res(u) = A u + c`` is solved by SVD with singular
+    values below ``1e-12 * s_max`` treated as zero.  A design matrix of
+    rank < 7 yields the minimal-norm solution and sets ``rank_deficient``.
     """
-    c = residual(snapshot, theta, np.zeros(4), np.zeros(3),
-                 base_spreads=base_spreads, t_elapsed=t_elapsed)
-    A = np.empty((c.size, 7))
-    for i in range(7):
-        u = np.zeros(7)
-        u[i] = 1.0
-        r = residual(snapshot, theta, u[:4], u[4:],
-                     base_spreads=base_spreads, t_elapsed=t_elapsed)
-        A[:, i] = r - c
+    t = _elapsed(snapshot) if t_elapsed is None else float(t_elapsed)
+    A, c = _day_system(theta.a, theta.sigma, theta.beta, t, snapshot,
+                       _base_spreads(snapshot, base_spreads))
     u, norm, rank = _solve_day(A, c)
     return InnerSolution(
         z1=u[:4], y=u[4:], residual_norm=norm, rank=rank,
@@ -542,9 +475,12 @@ def outer_calibrate(
     lo, hi = _check_bounds(theta0, bounds)
     base = _base_spreads(snapshots[0], base_spreads)
     ts = [_elapsed(s) for s in snapshots]
+    nfev = 0  # objective calls, finite-difference Jacobian calls included
 
     def stacked_for(idx):
         def stacked(vec: np.ndarray) -> np.ndarray:
+            nonlocal nfev
+            nfev += 1
             a, sig, beta = _split(vec)
             parts = []
             for k in idx:
@@ -562,17 +498,15 @@ def outer_calibrate(
 
     stages = _stage_indices(len(snapshots))
     x = theta0.as_array()
-    nfev = njev = 0
+    njev = 0
     if globalize:
         for idx in stages[:-1]:
             r = run(idx, x, "2-point", 600)
             x = r.x
-            nfev += r.nfev
             njev += r.njev or 0
     res = None
     for _ in range(3):
         r = run(stages[-1], x, "3-point", max_iterations * 9)
-        nfev += r.nfev
         njev += r.njev or 0
         if res is not None and r.cost >= res.cost * (1.0 - 1e-10):
             if r.cost < res.cost:
@@ -619,11 +553,18 @@ def outer_calibrate(
 # ---------------------------------------------------------------------------
 
 
-def _model_observables(theta: Theta, t: float, x: np.ndarray, z1, y, base):
-    Wz, Wy, c = _model_affine(theta.a, theta.sigma, theta.beta, t, x)
+def model_observables(theta: Theta, snapshot: MarketSnapshot, z1, y, base_spreads):
+    """Model yields (3, n) and log-spreads (2,) on the snapshot's day.
+
+    ``z1`` and ``y`` are the day's linear variables (a :class:`DayFit`'s
+    fields) and ``base_spreads`` the constant day-0 log-spread offsets.
+    """
+    x = snapshot.maturities
+    Wz, Wy, c = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta,
+                                           _elapsed(snapshot), x)
     vals = Wz @ np.asarray(z1, float) + Wy @ np.asarray(y, float) + c
     n = x.size
-    return vals[: 3 * n].reshape(3, n), vals[3 * n:] + base
+    return vals[: 3 * n].reshape(3, n), vals[3 * n:] + base_spreads
 
 
 def error_metrics(result: CalibrationResult, snapshots: Sequence[MarketSnapshot]) -> ErrorMetrics:
@@ -644,8 +585,7 @@ def error_metrics(result: CalibrationResult, snapshots: Sequence[MarketSnapshot]
 
     last = snapshots[-1]
     fit = result.per_day[-1]
-    model_y, _ = _model_observables(theta, _elapsed(last), last.maturities,
-                                    fit.z1, fit.y, base)
+    model_y, _ = model_observables(theta, last, fit.z1, fit.y, base)
     mkt_y = last.yields()
     yerr = np.empty(3)
     for j in range(3):
@@ -657,8 +597,7 @@ def error_metrics(result: CalibrationResult, snapshots: Sequence[MarketSnapshot]
     num = np.zeros(2)
     den = np.zeros(2)
     for snap, f in zip(snapshots, result.per_day):
-        _, model_s = _model_observables(theta, _elapsed(snap), snap.maturities,
-                                        f.z1, f.y, base)
+        _, model_s = model_observables(theta, snap, f.z1, f.y, base)
         num += (model_s - snap.log_spreads) ** 2
         den += snap.log_spreads ** 2
     if np.any(den == 0.0):
@@ -669,9 +608,8 @@ def error_metrics(result: CalibrationResult, snapshots: Sequence[MarketSnapshot]
 def _spread_end_errors(result: CalibrationResult, window: Sequence[MarketSnapshot]) -> np.ndarray:
     last = window[-1]
     fit = result.per_day[-1]
-    _, model_s = _model_observables(result.theta_star, _elapsed(last),
-                                    last.maturities, fit.z1, fit.y,
-                                    result.base_spreads)
+    _, model_s = model_observables(result.theta_star, last, fit.z1, fit.y,
+                                   result.base_spreads)
     if np.any(last.log_spreads == 0.0):
         raise CalibrationError("end-of-window log-spread is zero")
     return np.abs(model_s - last.log_spreads) / np.abs(last.log_spreads)
@@ -836,22 +774,18 @@ def synthesize_market_data(
     states = np.zeros((days, 5))
     z = np.zeros(5)
     real = realization_at(0)
-    b_mat = real.diffusion(z)
     for d in range(1, days):
         if theta_drift is not None:
             real = realization_at(d - 1)
         for _ in range(substeps):
-            dw = rng.normal(0.0, math.sqrt(dt), size=1)
-            noise = b_mat @ dw
-            pred = z + real.drift(z) * dt + noise
-            z = z + 0.5 * (real.drift(z) + real.drift(pred)) * dt + noise
+            z = fdr.heun_step(real, z, dt, rng.normal(0.0, math.sqrt(dt), size=1))
         states[d] = z
 
     snapshots = []
     for d in range(days):
         a, sig, beta = params_at(d)
         t = d / DAYS_PER_YEAR
-        Wz, Wy, c = _model_affine(a, sig, beta, t, x)
+        Wz, Wy, c = fdr.hw3_affine_observables(a, sig, beta, t, x)
         vals = Wz @ states[d, 1:] + Wy @ y + c
         n = x.size
         yields = vals[: 3 * n].reshape(3, n).copy()

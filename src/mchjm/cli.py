@@ -13,6 +13,7 @@ possible), 4 insufficient data, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -261,17 +262,21 @@ def _parse_int(lineno: int, token: str, what: str) -> int:
 
 def _parse_float(lineno: int, token: str, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError as exc:
         raise DataError(f"line {lineno}: {what} must be a number, got {token!r}") from exc
+    if not math.isfinite(value):
+        raise DataError(f"line {lineno}: {what} must be finite, got {token!r}")
+    return value
 
 
 def read_dataset(path: Path) -> list[cal.MarketSnapshot]:
     """Parse and validate a dataset file into daily market snapshots.
 
-    Diagnostics carry 1-based line numbers.  The bond section must hold the
-    same maturity set for every (date, curve); dates must be contiguous
-    integers; the spreads section must quote both tenors for every date.
+    Diagnostics carry 1-based line numbers.  Every number must be finite;
+    the bond section must hold the same maturity set for every (date,
+    curve); dates must be contiguous integers; the spreads section must
+    quote both tenors for every date.
     """
     path = Path(path)
     try:
@@ -455,9 +460,8 @@ def cmd_calibrate(config: RunConfig) -> None:
 
     last = snapshots[-1]
     fit = result.per_day[-1]
-    model_y, _ = cal._model_observables(
-        result.theta_star, cal._elapsed(last), last.maturities,
-        fit.z1, fit.y, result.base_spreads)
+    model_y, _ = cal.model_observables(result.theta_star, last, fit.z1, fit.y,
+                                       result.base_spreads)
     market_y = last.yields()
     _write_csv(
         out / "yields_fit.csv",
@@ -470,9 +474,8 @@ def cmd_calibrate(config: RunConfig) -> None:
     )
     rows = []
     for snap, f in zip(snapshots, result.per_day):
-        _, model_s = cal._model_observables(
-            result.theta_star, cal._elapsed(snap), snap.maturities,
-            f.z1, f.y, result.base_spreads)
+        _, model_s = cal.model_observables(result.theta_star, snap, f.z1, f.y,
+                                           result.base_spreads)
         rows.extend(
             (snap.date, tenor, _fmt(snap.log_spreads[tenor - 1]), _fmt(model_s[tenor - 1]))
             for tenor in (1, 2)

@@ -37,13 +37,11 @@ __all__ = [
     "ForwardCurve",
     "TenorStructure",
     "MultiCurveState",
-    "BondQuote",
     "bond_price",
     "yield_value",
     "simple_forward_rate",
     "implied_risk_sensitive_rate",
     "spot_spread",
-    "spread_monotonicity_ok",
 ]
 
 #: Default maturity grid: 0 to 10 years, 6 business-week spacing (201 nodes).
@@ -159,20 +157,6 @@ class MultiCurveState:
         return len(self.curves) - 1
 
 
-@dataclass(frozen=True)
-class BondQuote:
-    """A zero-coupon price observation."""
-
-    maturity: float
-    price: float
-
-    def __post_init__(self):
-        if not (self.maturity > 0):
-            raise ValueError("maturity must be positive")
-        if not (0.0 < self.price <= 1.5):
-            raise ValueError("bond price must lie in (0, 1.5]")
-
-
 def bond_price(curve: ForwardCurve, x) -> float:
     """B(x) = exp(-int_0^x r); equals 1 at x = 0."""
     return np.exp(-curve.integral(x)) if np.ndim(x) else float(math.exp(-curve.integral(x)))
@@ -225,14 +209,3 @@ def implied_risk_sensitive_rate(
     num = spot_spread(state, j) * bond_price(state.curves[j], T)
     den = bond_price(state.curves[0], T + delta)
     return (num / den - 1.0) / delta
-
-
-def spread_monotonicity_ok(state: MultiCurveState, strict: bool = False) -> bool:
-    """Diagnostic: log-spreads ordered (typically increasing in tenor).
-
-    Desk data usually has Y^1 <= Y^2 <= ...; violation is legal, just worth
-    flagging upstream.
-    """
-    y = state.log_spreads
-    d = np.diff(y)
-    return bool(np.all(d > 0) if strict else np.all(d >= 0))

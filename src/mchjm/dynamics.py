@@ -61,7 +61,9 @@ __all__ = [
     "simulate_hjm",
     "MartingaleStat",
     "martingale_check",
+    "single_factor_spec",
     "hull_white_three_curve_spec",
+    "record_index",
     "state_sup_norm",
 ]
 
@@ -266,12 +268,22 @@ class ConstantDirectionVolSpec:
 VolSpec = Union[ConstantVolSpec, ConstantDirectionVolSpec]
 
 
+def single_factor_spec(sigmas: Sequence[float], rates: Sequence[float], betas: Sequence[float]) -> ConstantVolSpec:
+    """Single-factor stack of m+1 curves: sigma^j e^{-a^j x}, scalar beta^j per tenor."""
+    if len(sigmas) == 0 or len(sigmas) != len(rates):
+        raise ValueError("need one (sigma, a) pair per curve")
+    m = len(sigmas) - 1
+    if len(betas) != m:
+        raise ValueError("spread volatilities beta are required for every tenor")
+    sigma = tuple((qe.exponential(s, -a),) for s, a in zip(sigmas, rates))
+    return ConstantVolSpec(sigma, np.asarray(betas, dtype=float).reshape(m, 1))
+
+
 def hull_white_three_curve_spec(sigmas: Sequence[float], rates: Sequence[float], betas: Sequence[float]) -> ConstantVolSpec:
     """Three-curve single-factor Hull-White stack: sigma^j e^{-a^j x}, scalar beta^j."""
     if not (len(sigmas) == len(rates) == 3 and len(betas) == 2):
         raise ValueError("need three (sigma, a) pairs and two betas")
-    sigma = tuple((qe.exponential(s, -a),) for s, a in zip(sigmas, rates))
-    return ConstantVolSpec(sigma, np.array([[betas[0]], [betas[1]]]))
+    return single_factor_spec(sigmas, rates, betas)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +448,44 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
 
+    def brownian_increments(self, d: int, increments: Optional[np.ndarray] = None) -> np.ndarray:
+        """Increments of shape (n_paths, n_steps, d): ``increments`` after a
+        shape check, or a fresh draw from ``seed`` when it is None."""
+        shape = (self.n_paths, self.n_steps, d)
+        if increments is None:
+            return np.random.default_rng(self.seed).normal(0.0, math.sqrt(self.dt), size=shape)
+        increments = np.asarray(increments, dtype=float)
+        if increments.shape != shape:
+            raise ValueError(f"increments must have shape {shape}")
+        return increments
+
+    def record_steps(self, record_times: Optional[Sequence[float]]) -> tuple[tuple[float, ...], list[int]]:
+        """Sorted record times (default: the horizon) and their step numbers.
+
+        Raises ValueError for a time that is not on the simulation clock and
+        for two times on the same step, which would share one snapshot.
+        """
+        if record_times is None:
+            record_times = (self.horizon,)
+        rec = sorted(float(t) for t in record_times)
+        steps = []
+        for t in rec:
+            k = t / self.dt
+            if abs(k - round(k)) > 1e-9 * max(1.0, k) or not (0 <= t <= self.horizon + 1e-12):
+                raise ValueError(f"record time {t} is not on the simulation clock")
+            steps.append(int(round(k)))
+        if len(set(steps)) < len(steps):
+            raise ValueError(f"record times {tuple(rec)} repeat a simulation step")
+        return tuple(rec), steps
+
+
+def record_index(record_times: Sequence[float], t: float) -> int:
+    """Position of ``t`` among the recorded times; KeyError if it is absent."""
+    for k, s in enumerate(record_times):
+        if abs(s - t) <= 1e-9 * max(1.0, abs(t)):
+            return k
+    raise KeyError(f"time {t} was not recorded (recorded: {tuple(record_times)})")
+
 
 @dataclass
 class HJMPaths:
@@ -447,13 +497,10 @@ class HJMPaths:
     curves: list  # per recorded time: array (n_paths, m+1, nx)
     log_spreads: list  # per recorded time: array (n_paths, m)
     bank: list  # per recorded time: array (n_paths,) of int_0^t r^0_s(0) ds
-    increments: Optional[np.ndarray] = None
 
     def at(self, t: float):
-        for k, s in enumerate(self.record_times):
-            if abs(s - t) <= 1e-9 * max(1.0, abs(t)):
-                return self.curves[k], self.log_spreads[k], self.bank[k]
-        raise KeyError(f"time {t} was not recorded (recorded: {self.record_times})")
+        k = record_index(self.record_times, t)
+        return self.curves[k], self.log_spreads[k], self.bank[k]
 
 
 def _upwind(R: np.ndarray, dx: float) -> np.ndarray:
@@ -470,7 +517,6 @@ def simulate_hjm(
     increments: Optional[np.ndarray] = None,
     record_times: Optional[Sequence[float]] = None,
     drift_shift: float = 0.0,
-    keep_increments: bool = False,
 ) -> HJMPaths:
     """Euler-Maruyama on the maturity grid (Ito form, upwind transport).
 
@@ -488,23 +534,8 @@ def simulate_hjm(
     dx = float(grid[1] - grid[0])
     n_steps, n_paths, dt = cfg.n_steps, cfg.n_paths, cfg.dt
 
-    if increments is None:
-        rng = np.random.default_rng(cfg.seed)
-        increments = rng.normal(0.0, math.sqrt(dt), size=(n_paths, n_steps, d))
-    else:
-        increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n_paths, n_steps, d):
-            raise ValueError(f"increments must have shape {(n_paths, n_steps, d)}")
-
-    if record_times is None:
-        record_times = (cfg.horizon,)
-    rec = sorted(float(t) for t in record_times)
-    rec_steps = []
-    for t in rec:
-        k = t / dt
-        if abs(k - round(k)) > 1e-9 * max(1.0, k) or not (0 <= t <= cfg.horizon + 1e-12):
-            raise ValueError(f"record time {t} is not on the simulation clock")
-        rec_steps.append(int(round(k)))
+    increments = cfg.brownian_increments(d, increments)
+    rec, rec_steps = cfg.record_steps(record_times)
 
     R = np.broadcast_to(
         np.stack([c.value(grid) for c in initial.curves]), (n_paths, m + 1, nx)
@@ -544,42 +575,25 @@ def simulate_hjm(
         phi = np.empty((n_paths, m + 1, d))
         bet = np.empty((n_paths, m, d))
         custom_states = None
-        for j in range(m + 1):
-            for i in range(d):
-                f = spec.phi[j][i]
-                if f.kind == "constant":
-                    phi[:, j, i] = f.const
-                elif f.kind == "affine":
-                    phi[:, j, i] = f.const + f.slope * Y[:, f.spread_index - 1]
-                else:
-                    if custom_states is None:
-                        custom_states = [
-                            MultiCurveState(
-                                tuple(SampledCurve(grid, R[p, jj]) for jj in range(m + 1)), Y[p]
-                            )
-                            for p in range(n_paths)
-                        ]
-                    phi[:, j, i] = [f(s) for s in custom_states]
-        for j in range(m):
-            for i in range(d):
-                f = spec.beta[j][i]
-                if f.kind == "constant":
-                    bet[:, j, i] = f.const
-                elif f.kind == "affine":
-                    bet[:, j, i] = f.const + f.slope * Y[:, f.spread_index - 1]
-                else:
-                    if custom_states is None:
-                        custom_states = [
-                            MultiCurveState(
-                                tuple(SampledCurve(grid, R[p, jj]) for jj in range(m + 1)), Y[p]
-                            )
-                            for p in range(n_paths)
-                        ]
-                    bet[:, j, i] = [f(s) for s in custom_states]
+        for fields, vals in ((spec.phi, phi), (spec.beta, bet)):
+            for j, row in enumerate(fields):
+                for i, f in enumerate(row):
+                    if f.kind == "constant":
+                        vals[:, j, i] = f.const
+                    elif f.kind == "affine":
+                        vals[:, j, i] = f.const + f.slope * Y[:, f.spread_index - 1]
+                    else:
+                        if custom_states is None:
+                            custom_states = [
+                                MultiCurveState(
+                                    tuple(SampledCurve(grid, R[p, jj]) for jj in range(m + 1)), Y[p]
+                                )
+                                for p in range(n_paths)
+                            ]
+                        vals[:, j, i] = [f(s) for s in custom_states]
         return phi, bet
 
-    out = HJMPaths(grid, m, tuple(rec), [], [], [],
-                   increments=np.array(increments) if keep_increments else None)
+    out = HJMPaths(grid, m, rec, [], [], [])
 
     def record():
         out.curves.append(R.copy())

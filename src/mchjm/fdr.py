@@ -11,6 +11,9 @@ process ``Z`` in R^n together with an embedding ``G`` such that
   stack in fully explicit closed form (five state variables);
 * :func:`build_cdv_example_fdr` — a twelve-dimensional realization with
   spread-dependent volatility direction fields (three factors);
+* :func:`hw3_affine_observables` — the three-curve model's yields and
+  log-spreads as affine maps of its factor block and curve level, the
+  closed form that calibration and data synthesis evaluate;
 * :func:`simulate_state` — a Heun (Stratonovich) integrator for the state
   process, couplable to :func:`~mchjm.dynamics.simulate_hjm` through shared
   Brownian increments;
@@ -40,6 +43,7 @@ from .dynamics import (
     NumericalError,
     ScalarField,
     SimConfig,
+    record_index,
 )
 
 __all__ = [
@@ -49,6 +53,8 @@ __all__ = [
     "build_hw3_fdr",
     "build_cdv_example_fdr",
     "cdv_example_spec",
+    "hw3_affine_observables",
+    "heun_step",
     "simulate_state",
     "BenchmarkSystem",
     "benchmark_observables",
@@ -268,6 +274,71 @@ def _em_sq(a: float, t: float) -> float:
     return t - 2.0 * _em(a, t) + _em(2.0 * a, t)
 
 
+def _spread_level_rows(a, t: float) -> list[tuple[float, float, float]]:
+    """Coefficients of the curve level ``y`` in the two log-spreads at
+    running time ``t`` (two rows of three): the integrated gap between the
+    initial risk-free and tenor curves."""
+    return [(0.0, _em(a[0], t) - _em(a[j], t), _emx(a[0], t) - _emx(a[j], t))
+            for j in (1, 2)]
+
+
+def hw3_affine_observables(a, sig, beta, t: float, x: np.ndarray):
+    """Affine coefficients of the three-curve observables in ``u = (q, y)``.
+
+    ``q = (q0, q1, q2, q3)`` is the factor block of :func:`build_hw3_fdr`'s
+    state at running time ``t`` and ``y`` the curve level.  Returns
+    ``(Wz, Wy, c)`` with shapes (3n+2, 4), (3n+2, 3), (3n+2,) such that
+    ``Wz @ q + Wy @ y + c`` stacks the model yields at maturities ``x`` for
+    the three curves (rows 0..3n-1, curve-major) followed by the two model
+    log-spreads *without* the constant initial offsets ``y^M``; the yields
+    are the realization's embedded curves integrated over maturity.
+    """
+    a = np.asarray(a, dtype=float)
+    sig = np.asarray(sig, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    rows = 3 * n + 2
+    Wz = np.empty((rows, 4))
+    Wy = np.empty((rows, 3))
+    c = np.empty(rows)
+
+    for j in range(3):
+        aj, sj = a[j], sig[j]
+        btj = 0.0 if j == 0 else beta[j - 1]
+        eax = np.exp(-aj * x)
+        v = (1.0 - eax) / aj                      # int_0^x e^{-a u} du
+        vv = (1.0 - np.exp(-2.0 * aj * x)) / (2.0 * aj)
+        w = (1.0 - (1.0 + aj * x) * eax) / (aj * aj)   # int_0^x u e^{-a u} du
+        eat = math.exp(-aj * t)
+        ratio = sj / aj
+        drift2 = 0.5 * ratio * ratio * (math.exp(-2.0 * aj * t) - 1.0)
+        drift1 = -ratio * (ratio - btj) * (eat - 1.0)
+        sl = slice(j * n, (j + 1) * n)
+        load = sj * v / x
+        Wz[sl, 0] = load
+        Wz[sl, 1] = -aj * load
+        Wz[sl, 2] = aj * aj * load
+        Wz[sl, 3] = -(aj ** 3) * load
+        Wy[sl, 0] = 1.0
+        Wy[sl, 1] = eat * v / x
+        Wy[sl, 2] = eat * (w + t * v) / x
+        c[sl] = (drift2 * vv + drift1 * v) / x
+
+    a0, s0 = a[0], sig[0]
+    Wy[3 * n:] = _spread_level_rows(a, t)
+    for j in (1, 2):
+        r = 3 * n + j - 1
+        aj, sj, btj = a[j], sig[j], beta[j - 1]
+        Wz[r] = (btj, s0 - sj, aj * sj - a0 * s0, a0 * a0 * s0 - aj * aj * sj)
+        c[r] = (
+            0.5 * ((s0 / a0) ** 2 * _em_sq(a0, t) - (sj / aj) ** 2 * _em_sq(aj, t))
+            + btj * (sj / aj) * (t - _em(aj, t))
+            - 0.5 * btj * btj * t
+        )
+    return Wz, Wy, c
+
+
 def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence[float]) -> FDRRealization:
     """Five-dimensional realization of the three-curve mean-reverting stack.
 
@@ -278,9 +349,9 @@ def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence
 
     The state is ``(x0, q0, q1, q2, q3)``: running time plus the factor
     block generated by the degree-3 joint annihilator
-    ``(g + a_0)(g + a_1)(g + a_2)``.  Everything is spelled out in closed
-    form; no quasi-exponential calculus is invoked beyond assembling the
-    output curves term by term.
+    ``(g + a_0)(g + a_1)(g + a_2)``.  Everything is in closed form: the
+    curves are assembled term by term and the log-spreads are the spread
+    rows of :func:`hw3_affine_observables`.
     """
     sig = np.asarray(theta.sigma, dtype=float)
     a = np.asarray(theta.a, dtype=float)
@@ -318,19 +389,8 @@ def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence
         return tuple(out)
 
     def embed_spreads(z: np.ndarray) -> np.ndarray:
-        x0, q0, q1, q2, q3 = (float(v) for v in z)
-        out = np.empty(2)
-        for j in (1, 2):
-            aj, sj, bt = a[j], sig[j], beta[j - 1]
-            v = ym[j - 1]
-            v += y[1] * (_em(a[0], x0) - _em(aj, x0)) + y[2] * (_emx(a[0], x0) - _emx(aj, x0))
-            v += bt * q0 + (sig[0] - sj) * q1 + (aj * sj - a[0] * sig[0]) * q2
-            v += (a[0] ** 2 * sig[0] - aj**2 * sj) * q3
-            v += 0.5 * ((sig[0] / a[0]) ** 2 * _em_sq(a[0], x0) - (sj / aj) ** 2 * _em_sq(aj, x0))
-            v += bt * (sj / aj) * (x0 - _em(aj, x0))
-            v -= 0.5 * bt * bt * x0
-            out[j - 1] = v
-        return out
+        Wz, Wy, c = hw3_affine_observables(a, sig, beta, float(z[0]), np.empty(0))
+        return ym + Wz @ z[1:] + Wy @ y + c
 
     def drift(z: np.ndarray) -> np.ndarray:
         return np.array([
@@ -429,15 +489,9 @@ def build_cdv_example_fdr(
                 f"log-spread {j} starts at zero but its volatility is proportional to it"
             )
 
-    def spread_path(j: int, z: np.ndarray) -> float:
-        """Y^j along the realization: initial value + time drift + state."""
-        x0 = float(z[0])
-        return (
-            ym[j - 1]
-            + y[1] * (_em(a[0], x0) - _em(a[j], x0))
-            + y[2] * (_emx(a[0], x0) - _emx(a[j], x0))
-            + float(z[j])
-        )
+    def spreads(z: np.ndarray) -> np.ndarray:
+        """(Y^1, Y^2) along the realization: initial value + time drift + state."""
+        return ym + np.dot(_spread_level_rows(a, float(z[0])), y) + z[1:3]
 
     def embed_curves(z: np.ndarray) -> tuple:
         x0 = float(z[0])
@@ -453,15 +507,13 @@ def build_cdv_example_fdr(
             out.append(f)
         return tuple(out)
 
-    def embed_spreads(z: np.ndarray) -> np.ndarray:
-        return np.array([spread_path(1, z), spread_path(2, z)])
-
     def drift(z: np.ndarray) -> np.ndarray:
         out = np.zeros(12)
         out[0] = 1.0
         short0 = sig[0] * z[3] + sig[0] ** 2 * z[7]  # stochastic part of r^0(0)
+        ys = spreads(z)
         for j in (1, 2):
-            yj = spread_path(j, z)
+            yj = ys[j - 1]
             shortj = sig[j] * z[3 + j] + sig[j] ** 2 * z[7 + 2 * j]
             out[j] = short0 - shortj - 0.5 * bs[j - 1] ** 2 * yj * (yj + 1.0) - 0.5 * bc[j - 1] ** 2
             out[3 + j] = -a[j] * z[3 + j] - bs[j - 1] * yj
@@ -472,9 +524,10 @@ def build_cdv_example_fdr(
         return out
 
     def diffusion(z: np.ndarray) -> np.ndarray:
+        ys = spreads(z)
         b = np.zeros((12, 3))
-        b[1] = (bc[0], bs[0] * spread_path(1, z), 0.0)
-        b[2] = (bc[1], 0.0, bs[1] * spread_path(2, z))
+        b[1] = (bc[0], bs[0] * ys[0], 0.0)
+        b[2] = (bc[1], 0.0, bs[1] * ys[1])
         b[3, 0] = b[4, 1] = b[5, 2] = 1.0
         return b
 
@@ -482,7 +535,7 @@ def build_cdv_example_fdr(
              "d0[0]", "d0[1]", "d1[0]", "d1[1]", "d2[0]", "d2[1]")
     return FDRRealization(
         n=12, m=2, d=3,
-        embed_curves=embed_curves, embed_spreads=embed_spreads,
+        embed_curves=embed_curves, embed_spreads=spreads,
         drift=drift, diffusion=diffusion,
         initial_state=np.zeros(12),
         coordinate_names=names,
@@ -501,13 +554,17 @@ class StatePaths:
 
     record_times: tuple[float, ...]
     states: np.ndarray  # (n_paths, n_recorded, n)
-    increments: Optional[np.ndarray] = None
 
     def at(self, t: float) -> np.ndarray:
-        for k, s in enumerate(self.record_times):
-            if abs(s - t) <= 1e-9 * max(1.0, abs(t)):
-                return self.states[:, k, :]
-        raise KeyError(f"time {t} was not recorded (recorded: {self.record_times})")
+        return self.states[:, record_index(self.record_times, t), :]
+
+
+def heun_step(real: FDRRealization, z: np.ndarray, dt: float, dW: np.ndarray) -> np.ndarray:
+    """One Heun predictor-corrector step of ``dZ = a(Z) dt + b(Z) ∘ dW``."""
+    az = real.drift(z)
+    bz = real.diffusion(z)
+    z_pred = z + az * dt + bz @ dW
+    return z + 0.5 * dt * (az + real.drift(z_pred)) + 0.5 * ((bz + real.diffusion(z_pred)) @ dW)
 
 
 def simulate_state(
@@ -515,32 +572,16 @@ def simulate_state(
     cfg: SimConfig,
     increments: Optional[np.ndarray] = None,
     record_times: Optional[Sequence[float]] = None,
-    keep_increments: bool = False,
 ) -> StatePaths:
-    """Integrate ``dZ = a(Z) dt + b(Z) ∘ dW`` with the Heun predictor-corrector.
+    """Integrate ``dZ = a(Z) dt + b(Z) ∘ dW`` with :func:`heun_step`.
 
     ``increments`` follows the same (n_paths, n_steps, d) convention as the
     curve-level simulator, so passing one array to both couples the
     realization pathwise to the infinite-dimensional dynamics.
     """
     n_steps, n_paths, dt = cfg.n_steps, cfg.n_paths, cfg.dt
-    if increments is None:
-        rng = np.random.default_rng(cfg.seed)
-        increments = rng.normal(0.0, math.sqrt(dt), size=(n_paths, n_steps, real.d))
-    else:
-        increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n_paths, n_steps, real.d):
-            raise ValueError(f"increments must have shape {(n_paths, n_steps, real.d)}")
-
-    if record_times is None:
-        record_times = (cfg.horizon,)
-    rec = sorted(float(t) for t in record_times)
-    rec_steps = []
-    for t in rec:
-        k = t / dt
-        if abs(k - round(k)) > 1e-9 * max(1.0, k) or not (0 <= t <= cfg.horizon + 1e-12):
-            raise ValueError(f"record time {t} is not on the simulation clock")
-        rec_steps.append(int(round(k)))
+    increments = cfg.brownian_increments(real.d, increments)
+    rec, rec_steps = cfg.record_steps(record_times)
     by_step = {s: idx for idx, s in enumerate(rec_steps)}
 
     out = np.empty((n_paths, len(rec), real.n))
@@ -549,17 +590,12 @@ def simulate_state(
         if 0 in by_step:
             out[p, by_step[0]] = z
         for step in range(n_steps):
-            dW = increments[p, step]
-            az = real.drift(z)
-            bz = real.diffusion(z)
-            z_pred = z + az * dt + bz @ dW
-            z = z + 0.5 * dt * (az + real.drift(z_pred)) + 0.5 * ((bz + real.diffusion(z_pred)) @ dW)
+            z = heun_step(real, z, dt, increments[p, step])
             if not np.all(np.isfinite(z)):
                 raise NumericalError(f"non-finite realization state at step {step + 1}")
             if step + 1 in by_step:
                 out[p, by_step[step + 1]] = z
-    return StatePaths(tuple(rec), out,
-                      increments=np.array(increments) if keep_increments else None)
+    return StatePaths(rec, out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import qe
 from .curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState
-from .dynamics import ConstantVolSpec, VolSpec, sigma_fields, stratonovich_drift
+from .dynamics import ConstantVolSpec, VolSpec, sigma_fields, single_factor_spec, stratonovich_drift
 from .fdr import FDRRealization
 
 __all__ = [
@@ -464,12 +464,7 @@ class HullWhiteStackParams:
 
 def single_factor_stack_spec(params: HullWhiteStackParams) -> ConstantVolSpec:
     """The d=1 constant-volatility model with curve rows sigma^j e^{-a^j x}."""
-    m = params.m
-    if m and len(params.beta) != m:
-        raise ValueError("spread volatilities beta are required for every tenor")
-    sigma = tuple((qe.exponential(s, -a),) for s, a in zip(params.sigma, params.a))
-    beta = np.asarray(params.beta, dtype=float).reshape(m, 1) if m else np.zeros((0, 1))
-    return ConstantVolSpec(sigma, beta)
+    return single_factor_spec(params.sigma, params.a, params.beta)
 
 
 def spread_volatility_relation(params: HullWhiteStackParams) -> tuple[float, ...]:

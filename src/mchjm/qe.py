@@ -417,16 +417,7 @@ def annihilator(f: QEFunction) -> AnnihilatorPolynomial:
     """
     if f.is_zero:
         raise ValueError("zero function has no minimal annihilator")
-    poly = np.array([1.0])
-    for t in f.terms:
-        mult = t.degree() + 1
-        if t.freq == 0.0:
-            factor = np.array([-t.rate, 1.0])
-        else:
-            factor = np.array([t.rate * t.rate + t.freq * t.freq, -2.0 * t.rate, 1.0])
-        for _ in range(mult):
-            poly = np.convolve(poly, factor)
-    return AnnihilatorPolynomial(tuple(float(c) for c in poly))
+    return joint_annihilator([f])
 
 
 def joint_annihilator(funcs: Sequence[QEFunction]) -> AnnihilatorPolynomial:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from realization_convergence import sup_gap
 
 from mchjm import calibration as cal
 from mchjm import cli, dynamics, fdr, qe
@@ -69,36 +70,9 @@ def test_a1_annihilator_exactness():
 # ---------------------------------------------------------------------------
 
 
-def _realization_gap(dt: float, dx: float) -> float:
-    """Sup over paths, record times and grid of |embedded state - HJM curve|."""
-    theta = cal.DEFAULT_THETA0
-    n_paths, horizon, seed = 16, 1.0, 20
-    grid = np.linspace(0.0, 10.0, int(round(10.0 / dx)) + 1)
-    spec = dynamics.hull_white_three_curve_spec(theta.sigma, theta.a, theta.beta)
-    initial = _ns_state(NS, theta.a, YM0)
-    cfg = dynamics.SimConfig(dt=dt, horizon=horizon, n_paths=n_paths, seed=seed, grid=grid)
-
-    rng = np.random.default_rng(seed)
-    increments = rng.normal(0.0, np.sqrt(dt), size=(n_paths, cfg.n_steps, 1))
-    record = tuple(np.round(np.linspace(0.0, horizon, 11), 12))
-
-    paths = dynamics.simulate_hjm(initial, spec, cfg, increments=increments,
-                                  record_times=record)
-    real = fdr.build_hw3_fdr(theta, NS, np.array(YM0))
-    states = fdr.simulate_state(real, cfg, increments=increments, record_times=record)
-
-    worst = 0.0
-    for k, t in enumerate(record):
-        curves_t, _, _ = paths.at(t)
-        for p in range(n_paths):
-            exact = real.curve_values(states.states[p, k], grid)
-            worst = max(worst, float(np.max(np.abs(curves_t[p] - exact))))
-    return worst
-
-
 def test_a2_realization_tracks_hjm_and_converges():
-    coarse = _realization_gap(dt=1e-3, dx=0.05)
-    fine = _realization_gap(dt=5e-4, dx=0.025)
+    coarse = sup_gap(dt=1e-3, dx=0.05)
+    fine = sup_gap(dt=5e-4, dx=0.025)
     assert coarse <= 5e-3, f"sup gap {coarse:.3e}"
     # The realization is exact; the gap is pure Euler/grid error and should
     # shrink roughly linearly when both resolutions halve.

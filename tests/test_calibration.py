@@ -202,10 +202,16 @@ def test_inner_solve_flags_rank_deficiency():
 
 
 def test_fast_day_system_matches_literal_assembly():
+    # Oracle: the affine map assembled from eight residual evaluations (the
+    # base point plus the seven unit directions).
     snaps = short_dataset(5)
     snap, base = snaps[3], snaps[0].log_spreads
-    A, c = cal._day_system(SEP_THETA.a, SEP_THETA.sigma, SEP_THETA.beta,
-                           cal._elapsed(snap), snap, base)
+    c = cal.residual(snap, SEP_THETA, np.zeros(4), np.zeros(3), base_spreads=base)
+    A = np.empty((c.size, 7))
+    for i in range(7):
+        u = np.zeros(7)
+        u[i] = 1.0
+        A[:, i] = cal.residual(snap, SEP_THETA, u[:4], u[4:], base_spreads=base) - c
     u, norm, rank = cal._solve_day(A, c)
     sol = cal.inner_solve(snap, SEP_THETA, base_spreads=base)
     assert rank == sol.rank
@@ -264,6 +270,23 @@ def test_outer_calibrate_warm_start_skips_continuation():
     warm = cal.outer_calibrate(snaps, SEP_THETA, globalize=False)
     assert warm.diagnostics.nfev < cold.diagnostics.nfev
     assert warm.total_sse < 1e-12
+
+
+def test_outer_calibrate_counts_every_objective_call(monkeypatch):
+    least_squares = cal.scipy.optimize.least_squares
+    calls = 0
+
+    def counting(fun, x0, *args, **kwargs):
+        def objective(x):
+            nonlocal calls
+            calls += 1
+            return fun(x)
+        return least_squares(objective, x0, *args, **kwargs)
+
+    monkeypatch.setattr(cal.scipy.optimize, "least_squares", counting)
+    snaps = short_dataset(6, seed=4, noise_sd=1e-4)
+    result = cal.outer_calibrate(snaps, Theta.from_array(SEP_THETA.as_array() * 1.05))
+    assert result.diagnostics.nfev == calls > 0
 
 
 def test_outer_calibrate_reports_budget_exhaustion():
@@ -429,20 +452,19 @@ def test_synthesize_rejects_bad_inputs():
 
 
 def test_model_observables_match_realization_embedding():
-    # The calibration residual re-derives the bond reconstruction in closed
-    # form; integrating the realization's curve embedding numerically must
-    # give the same yields and log-spreads at a simulated state.
+    # The closed-form yields are the realization's curve embedding integrated
+    # over maturity; numerical quadrature of the embedding must give the
+    # same yields, and the log-spreads must be the embedded ones.
     snaps, states = short_dataset(9, seed=12, return_states=True)
     d = 6
-    t = cal._elapsed(snaps[d])
     params = SimpleNamespace(sigma=np.array(SEP_THETA.sigma),
                              a=np.array(SEP_THETA.a),
                              beta=np.array(SEP_THETA.beta))
     real = fdr.build_hw3_fdr(params, tuple(Y_NS), np.array(YM0))
     z = states[d]
 
-    yields, spreads = cal._model_observables(
-        SEP_THETA, t, snaps[d].maturities, states[d, 1:], Y_NS, np.array(YM0))
+    yields, spreads = cal.model_observables(
+        SEP_THETA, snaps[d], states[d, 1:], Y_NS, np.array(YM0))
 
     np.testing.assert_allclose(spreads, real.embed_spreads(z), atol=1e-12)
     for k in (0, 8, 16):

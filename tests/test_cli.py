@@ -98,6 +98,21 @@ def test_read_dataset_line_numbered_errors(tmp_path):
         cli.read_dataset(bad)
 
 
+def test_non_finite_values_exit_with_data_error(tmp_path, capsys):
+    src = make_dataset(tmp_path, days=3)
+    lines = src.read_text().splitlines()
+    spread_line = lines.index(cli.SPREAD_HEADER) + 2  # 1-based: first quote
+    bad = tmp_path / "bad.csv"
+    for lineno, token in ((2, "nan"), (spread_line, "inf")):
+        corrupt = lines.copy()
+        corrupt[lineno - 1] = corrupt[lineno - 1].rsplit(",", 1)[0] + "," + token
+        bad.write_text("\n".join(corrupt) + "\n")
+        assert run("calibrate", "--dataset", str(bad), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert f"line {lineno}:" in err and "finite" in err
+        assert "Traceback" not in err
+
+
 def test_read_dataset_requires_contiguous_dates(tmp_path):
     src = make_dataset(tmp_path, days=3)
     text = src.read_text().replace("\n2,", "\n5,")

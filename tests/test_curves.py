@@ -10,7 +10,6 @@ from scipy.integrate import simpson
 from mchjm import qe
 from mchjm.curves import (
     AnalyticCurve,
-    BondQuote,
     MultiCurveState,
     SampledCurve,
     TenorStructure,
@@ -18,7 +17,6 @@ from mchjm.curves import (
     implied_risk_sensitive_rate,
     simple_forward_rate,
     spot_spread,
-    spread_monotonicity_ok,
     yield_value,
 )
 
@@ -134,21 +132,6 @@ def test_implied_rate_uses_fictitious_bond_ratio():
         - 1.0
     ) / delta
     assert implied_risk_sensitive_rate(state, tenors, j, T) == pytest.approx(want, rel=1e-12)
-
-
-def test_spread_monotonicity_diagnostic():
-    assert spread_monotonicity_ok(_two_tenor_state(0.002, 0.004))
-    assert not spread_monotonicity_ok(_two_tenor_state(0.004, 0.002))
-
-
-def test_bond_quote_validation():
-    BondQuote(1.0, 0.97)
-    with pytest.raises(ValueError):
-        BondQuote(-1.0, 0.97)
-    with pytest.raises(ValueError):
-        BondQuote(1.0, 1.6)
-    with pytest.raises(ValueError):
-        BondQuote(1.0, 0.0)
 
 
 def test_state_validation():

@@ -284,6 +284,10 @@ def test_sim_config_validation():
         SimConfig(dt=0.01, horizon=0.105, n_paths=1)  # horizon not a multiple
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, horizon=0.1, n_paths=1, grid=np.array([0.0, 0.1, 0.15]))
+    cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1)
+    assert cfg.record_steps(None) == ((0.1,), [10])
+    with pytest.raises(ValueError):
+        cfg.record_steps((0.05, 0.05))
 
 
 def test_hw3_spec_validation():

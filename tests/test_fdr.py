@@ -243,6 +243,8 @@ def test_simulate_state_validation():
     with pytest.raises(ValueError):
         fdr.simulate_state(real, cfg, record_times=(0.005,))
     with pytest.raises(ValueError):
+        fdr.simulate_state(real, cfg, record_times=(0.05, 0.05))
+    with pytest.raises(ValueError):
         fdr.simulate_state(real, cfg, increments=np.zeros((1, 3, 1)))
     paths = fdr.simulate_state(real, cfg)
     with pytest.raises(KeyError):

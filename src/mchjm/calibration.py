@@ -244,10 +244,14 @@ class InnerSolution:
 
 @dataclass(frozen=True)
 class DayFit:
+    """One day of a calibration: linear variables, residual norm and the
+    rank of the day's design matrix (7 when the day is fully determined)."""
+
     date: int
     z1: np.ndarray
     y: np.ndarray
     residual_norm: float
+    rank: int
 
 
 @dataclass(frozen=True)
@@ -361,25 +365,36 @@ def residual(
     return out
 
 
-def _day_system(a, sig, beta, t, snapshot: MarketSnapshot, base):
-    """Design matrix and offset with ``residual = A @ u + c`` for u = (z1, y)."""
-    Wz, Wy, c = fdr.hw3_affine_observables(a, sig, beta, t, snapshot.maturities)
-    n = snapshot.n
-    A = np.empty((3 * n + 2, 7))
-    A[: 3 * n, :4] = -Wz[: 3 * n]
-    A[: 3 * n, 4:] = -Wy[: 3 * n]
-    A[3 * n:, :4] = Wz[3 * n:]
-    A[3 * n:, 4:] = Wy[3 * n:]
-    cfull = np.empty(3 * n + 2)
-    cfull[: 3 * n] = snapshot.yields().ravel() - c[: 3 * n]
-    cfull[3 * n:] = c[3 * n:] + base - snapshot.log_spreads
+def _market(snapshots: Sequence[MarketSnapshot]):
+    """Day-stacked market yields (K, 3n) and log-spreads (K, 2)."""
+    return (np.array([s.yields().ravel() for s in snapshots]),
+            np.array([s.log_spreads for s in snapshots]))
+
+
+def _day_system(a, sig, beta, t, x, yields, log_spreads, base):
+    """Design matrices (K, 3n+2, 7) and offsets (K, 3n+2) of K days.
+
+    Day k's residual is ``A[k] @ u + c[k]`` for u = (z1, y); ``t`` holds the
+    days' running times and ``yields``, ``log_spreads`` their market data
+    as stacked by :func:`_market`, all on the one maturity grid ``x``.
+    """
+    Wz, Wy, c = fdr.hw3_affine_observables(a, sig, beta, t, x)
+    n3 = 3 * x.size
+    A = np.empty(Wz.shape[:2] + (7,))
+    A[:, :n3, :4] = -Wz[:, :n3]
+    A[:, :n3, 4:] = -Wy[:, :n3]
+    A[:, n3:, :4] = Wz[:, n3:]
+    A[:, n3:, 4:] = Wy[:, n3:]
+    cfull = np.empty(c.shape)
+    cfull[:, :n3] = yields - c[:, :n3]
+    cfull[:, n3:] = c[:, n3:] + base - log_spreads
     return A, cfull
 
 
 def _solve_day(A: np.ndarray, c: np.ndarray):
+    """Least-squares u of one day, its residual ``A @ u + c`` and A's rank."""
     u, _, rank, _ = np.linalg.lstsq(A, -c, rcond=_SVD_CUTOFF)
-    norm = float(np.linalg.norm(A @ u + c))
-    return u, norm, int(rank)
+    return u, A @ u + c, int(rank)
 
 
 def inner_solve(
@@ -396,11 +411,12 @@ def inner_solve(
     rank < 7 yields the minimal-norm solution and sets ``rank_deficient``.
     """
     t = _elapsed(snapshot) if t_elapsed is None else float(t_elapsed)
-    A, c = _day_system(theta.a, theta.sigma, theta.beta, t, snapshot,
+    A, c = _day_system(theta.a, theta.sigma, theta.beta, np.array([t]),
+                       snapshot.maturities, *_market([snapshot]),
                        _base_spreads(snapshot, base_spreads))
-    u, norm, rank = _solve_day(A, c)
+    u, r, rank = _solve_day(A[0], c[0])
     return InnerSolution(
-        z1=u[:4], y=u[4:], residual_norm=norm, rank=rank,
+        z1=u[:4], y=u[4:], residual_norm=float(np.linalg.norm(r)), rank=rank,
         rank_deficient=rank < 7,
     )
 
@@ -457,7 +473,10 @@ def outer_calibrate(
     coarse-to-fine continuation: the trust-region solver is first run on
     sparse day subsets (endpoints, then geometrically denser grids), each
     warm-starting the next, before the full window is polished with a
-    central-difference Jacobian.  Pass ``globalize=False`` to skip the
+    central-difference Jacobian.  Each objective call assembles the
+    design matrices of all its days in one batch and then solves every day
+    on its own, so all snapshots must share one maturity grid
+    (``CalibrationError`` otherwise).  Pass ``globalize=False`` to skip the
     continuation when ``theta0`` is already a warm start (e.g. rolled
     windows); only the full-window polish runs then.  The final stage
     stops once the relative SSE improvement falls below 1e-10, the step
@@ -474,20 +493,25 @@ def outer_calibrate(
         raise CalibrationError("snapshot dates must be strictly increasing")
     lo, hi = _check_bounds(theta0, bounds)
     base = _base_spreads(snapshots[0], base_spreads)
-    ts = [_elapsed(s) for s in snapshots]
+    mats = snapshots[0].maturities
+    if any(not np.array_equal(s.maturities, mats) for s in snapshots):
+        raise CalibrationError("all snapshots must share one maturity grid")
+    ts = np.array([_elapsed(s) for s in snapshots])
+    yields, spreads = _market(snapshots)
     nfev = 0  # objective calls, finite-difference Jacobian calls included
 
     def stacked_for(idx):
+        t, ys, ls = ts[idx], yields[idx], spreads[idx]
+
         def stacked(vec: np.ndarray) -> np.ndarray:
             nonlocal nfev
             nfev += 1
             a, sig, beta = _split(vec)
-            parts = []
-            for k in idx:
-                A, c = _day_system(a, sig, beta, ts[k], snapshots[k], base)
-                u, _, _ = _solve_day(A, c)
-                parts.append(A @ u + c)
-            return np.concatenate(parts)
+            A, c = _day_system(a, sig, beta, t, mats, ys, ls, base)
+            out = np.empty(c.shape)
+            for k in range(len(t)):
+                _, out[k], _ = _solve_day(A[k], c[k])
+            return out.ravel()
         return stacked
 
     def run(idx, x, jac, cap):
@@ -524,7 +548,7 @@ def outer_calibrate(
     sse = 0.0
     for snap in snapshots:
         sol = inner_solve(snap, theta_star, base_spreads=base)
-        per_day.append(DayFit(snap.date, sol.z1, sol.y, sol.residual_norm))
+        per_day.append(DayFit(snap.date, sol.z1, sol.y, sol.residual_norm, sol.rank))
         sse += sol.residual_norm ** 2
 
     svals = np.linalg.svd(res.jac, compute_uv=False)

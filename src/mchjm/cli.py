@@ -79,6 +79,17 @@ class NumericalFailureError(CliError):
     exit_code = EXIT_NUMERICAL
 
 
+def _solver_failure(exc: ValueError) -> NumericalFailureError:
+    """Exit-code-5 error, with a one-line message, for a failed calibration:
+    a violated precondition (``CalibrationError``), or a ``ValueError``
+    raised inside the solvers, ``LinAlgError`` included (e.g. non-finite
+    residuals)."""
+    if isinstance(exc, cal.CalibrationError):
+        return NumericalFailureError(str(exc))
+    first = (str(exc).splitlines() or [""])[0]
+    return NumericalFailureError(f"calibration solver failed ({type(exc).__name__}): {first}")
+
+
 # ---------------------------------------------------------------------------
 # run configuration
 # ---------------------------------------------------------------------------
@@ -436,8 +447,8 @@ def cmd_calibrate(config: RunConfig) -> None:
         result = cal.outer_calibrate(snapshots, theta0,
                                      max_iterations=max_iterations)
         metrics = cal.error_metrics(result, snapshots)
-    except cal.CalibrationError as exc:
-        raise NumericalFailureError(str(exc)) from exc
+    except ValueError as exc:
+        raise _solver_failure(exc) from exc
 
     out = config.out
     theta_star = result.theta_star.as_array()
@@ -614,8 +625,8 @@ def cmd_stability(config: RunConfig) -> None:
     try:
         report = cal.stability_analysis(dataset, theta0,
                                         window_months=window_months, rolls=rolls)
-    except cal.CalibrationError as exc:
-        raise NumericalFailureError(str(exc)) from exc
+    except ValueError as exc:
+        raise _solver_failure(exc) from exc
     _write_csv(config.out / "stability_table.csv", "parameter,mean,std", [
         (name, _fmt(m), _fmt(s))
         for name, m, s in zip(report.parameter_names, report.mean, report.std)
@@ -635,8 +646,8 @@ def cmd_sweep(config: RunConfig) -> None:
         raise InsufficientDataError(f"dataset does not contain end_date {end_date}")
     try:
         rows = cal.window_sweep(dataset, lengths, end_date, theta0)
-    except cal.CalibrationError as exc:
-        raise NumericalFailureError(str(exc)) from exc
+    except ValueError as exc:
+        raise _solver_failure(exc) from exc
     table = []
     for row in rows:
         if row.skipped:

@@ -259,30 +259,42 @@ def build_constant_vol_fdr(initial: MultiCurveState, spec: ConstantVolSpec) -> F
 # ---------------------------------------------------------------------------
 
 
-def _em(a: float, t: float) -> float:
-    """int_0^t e^{-a s} ds."""
-    return (1.0 - math.exp(-a * t)) / a
+def _libm_exp(u: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.exp``.  numpy's vectorised ``exp`` may differ
+    from libm in the last bit, which would move every result that depends
+    on the running time."""
+    return np.fromiter(map(math.exp, u.ravel().tolist()), float, u.size).reshape(u.shape)
 
 
-def _emx(a: float, t: float) -> float:
-    """int_0^t s e^{-a s} ds."""
-    return (1.0 - (1.0 + a * t) * math.exp(-a * t)) / (a * a)
+def _em(a, eat):
+    """int_0^t e^{-a s} ds, given ``eat = e^{-a t}``."""
+    return (1.0 - eat) / a
 
 
-def _em_sq(a: float, t: float) -> float:
-    """int_0^t (1 - e^{-a s})^2 ds."""
-    return t - 2.0 * _em(a, t) + _em(2.0 * a, t)
+def _emx(a, t, eat):
+    """int_0^t s e^{-a s} ds, given ``eat = e^{-a t}``."""
+    return (1.0 - (1.0 + a * t) * eat) / (a * a)
 
 
-def _spread_level_rows(a, t: float) -> list[tuple[float, float, float]]:
-    """Coefficients of the curve level ``y`` in the two log-spreads at
-    running time ``t`` (two rows of three): the integrated gap between the
-    initial risk-free and tenor curves."""
-    return [(0.0, _em(a[0], t) - _em(a[j], t), _emx(a[0], t) - _emx(a[j], t))
-            for j in (1, 2)]
+def _em_sq(a, t, eat, e2at):
+    """int_0^t (1 - e^{-a s})^2 ds, given ``e^{-a t}`` and ``e^{-2 a t}``."""
+    return t - 2.0 * _em(a, eat) + _em(2.0 * a, e2at)
 
 
-def hw3_affine_observables(a, sig, beta, t: float, x: np.ndarray):
+def _spread_level_rows(a, t: np.ndarray, ea: np.ndarray) -> np.ndarray:
+    """Coefficients of the curve level ``y`` in the two log-spreads, shape
+    (K, 2, 3), at the running times ``t`` (K, 1): the integrated gap
+    between the initial risk-free and tenor curves.  ``ea`` (K, 3) holds
+    ``e^{-a_j t}``."""
+    em = _em(a, ea)
+    emx = _emx(a, t, ea)
+    rows = np.zeros((t.shape[0], 2, 3))
+    rows[:, :, 1] = em[:, :1] - em[:, 1:]
+    rows[:, :, 2] = emx[:, :1] - emx[:, 1:]
+    return rows
+
+
+def hw3_affine_observables(a, sig, beta, t, x: np.ndarray):
     """Affine coefficients of the three-curve observables in ``u = (q, y)``.
 
     ``q = (q0, q1, q2, q3)`` is the factor block of :func:`build_hw3_fdr`'s
@@ -291,51 +303,62 @@ def hw3_affine_observables(a, sig, beta, t: float, x: np.ndarray):
     ``Wz @ q + Wy @ y + c`` stacks the model yields at maturities ``x`` for
     the three curves (rows 0..3n-1, curve-major) followed by the two model
     log-spreads *without* the constant initial offsets ``y^M``; the yields
-    are the realization's embedded curves integrated over maturity.
+    are the realization's embedded curves integrated over maturity.  For a
+    1-d array ``t`` of K running times the three are stacked day by day,
+    shapes (K, 3n+2, 4), (K, 3n+2, 3), (K, 3n+2); each day's entries equal
+    those of the scalar call at its time, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     sig = np.asarray(sig, dtype=float)
-    beta = np.asarray(beta, dtype=float)
+    bt = np.r_[0.0, np.asarray(beta, dtype=float)]   # curve 0 has no spread
     x = np.asarray(x, dtype=float)
-    n = x.size
+    t = np.asarray(t, dtype=float)
+    tc = t.reshape(-1, 1)                              # running times, (K, 1)
+    K, n = tc.shape[0], x.size
     rows = 3 * n + 2
-    Wz = np.empty((rows, 4))
-    Wy = np.empty((rows, 3))
-    c = np.empty(rows)
+    Wz = np.empty((K, rows, 4))
+    Wy = np.empty((K, rows, 3))
+    c = np.empty((K, rows))
 
-    for j in range(3):
-        aj, sj = a[j], sig[j]
-        btj = 0.0 if j == 0 else beta[j - 1]
-        eax = np.exp(-aj * x)
-        v = (1.0 - eax) / aj                      # int_0^x e^{-a u} du
-        vv = (1.0 - np.exp(-2.0 * aj * x)) / (2.0 * aj)
-        w = (1.0 - (1.0 + aj * x) * eax) / (aj * aj)   # int_0^x u e^{-a u} du
-        eat = math.exp(-aj * t)
-        ratio = sj / aj
-        drift2 = 0.5 * ratio * ratio * (math.exp(-2.0 * aj * t) - 1.0)
-        drift1 = -ratio * (ratio - btj) * (eat - 1.0)
-        sl = slice(j * n, (j + 1) * n)
-        load = sj * v / x
-        Wz[sl, 0] = load
-        Wz[sl, 1] = -aj * load
-        Wz[sl, 2] = aj * aj * load
-        Wz[sl, 3] = -(aj ** 3) * load
-        Wy[sl, 0] = 1.0
-        Wy[sl, 1] = eat * v / x
-        Wy[sl, 2] = eat * (w + t * v) / x
-        c[sl] = (drift2 * vv + drift1 * v) / x
+    # Maturity-only factors, one row per curve, shape (3, n).
+    ac = a[:, None]
+    eax = np.exp(-ac * x)
+    v = (1.0 - eax) / ac                           # int_0^x e^{-a u} du
+    vv = (1.0 - np.exp(-2.0 * ac * x)) / (2.0 * ac)
+    w = (1.0 - (1.0 + ac * x) * eax) / (ac * ac)   # int_0^x u e^{-a u} du
+    load = sig[:, None] * v / x
+    # Scalar ``**`` here and for ``ratio_sq``: numpy's array power rounds
+    # differently in the last bit for some arguments.
+    powers = np.array([(1.0, -aj, aj * aj, -(aj ** 3)) for aj in a])
+    Wz[:, :3 * n] = (powers[:, None, :] * load[:, :, None]).reshape(3 * n, 4)
 
+    # Per-day factors, shape (K, 3): e^{-a_j t}, e^{-2 a_j t} and the
+    # deterministic drift accumulated over [0, t].
+    ea = _libm_exp(-a * tc)
+    e2a = _libm_exp(-2.0 * a * tc)
+    ratio = sig / a
+    drift2 = 0.5 * ratio * ratio * (e2a - 1.0)
+    drift1 = -ratio * (ratio - bt) * (ea - 1.0)
+    eat = ea[:, :, None]
+    Wy[:, :3 * n, 0] = 1.0
+    Wy[:, :3 * n, 1] = (eat * v / x).reshape(K, 3 * n)
+    Wy[:, :3 * n, 2] = (eat * (w + tc[:, :, None] * v) / x).reshape(K, 3 * n)
+    c[:, :3 * n] = ((drift2[:, :, None] * vv + drift1[:, :, None] * v) / x).reshape(K, 3 * n)
+
+    # The two log-spreads.
     a0, s0 = a[0], sig[0]
-    Wy[3 * n:] = _spread_level_rows(a, t)
-    for j in (1, 2):
-        r = 3 * n + j - 1
-        aj, sj, btj = a[j], sig[j], beta[j - 1]
-        Wz[r] = (btj, s0 - sj, aj * sj - a0 * s0, a0 * a0 * s0 - aj * aj * sj)
-        c[r] = (
-            0.5 * ((s0 / a0) ** 2 * _em_sq(a0, t) - (sj / aj) ** 2 * _em_sq(aj, t))
-            + btj * (sj / aj) * (t - _em(aj, t))
-            - 0.5 * btj * btj * t
-        )
+    Wy[:, 3 * n:] = _spread_level_rows(a, tc, ea)
+    Wz[:, 3 * n:] = [(bt[j], s0 - sig[j], a[j] * sig[j] - a0 * s0,
+                      a0 * a0 * s0 - a[j] * a[j] * sig[j]) for j in (1, 2)]
+    ratio_sq = np.array([r ** 2 for r in ratio])
+    em_sq = _em_sq(a, tc, ea, e2a)
+    c[:, 3 * n:] = (
+        0.5 * (ratio_sq[0] * em_sq[:, :1] - ratio_sq[1:] * em_sq[:, 1:])
+        + bt[1:] * ratio[1:] * (tc - _em(a[1:], ea[:, 1:]))
+        - 0.5 * bt[1:] * bt[1:] * tc
+    )
+    if t.ndim == 0:
+        return Wz[0], Wy[0], c[0]
     return Wz, Wy, c
 
 
@@ -491,7 +514,9 @@ def build_cdv_example_fdr(
 
     def spreads(z: np.ndarray) -> np.ndarray:
         """(Y^1, Y^2) along the realization: initial value + time drift + state."""
-        return ym + np.dot(_spread_level_rows(a, float(z[0])), y) + z[1:3]
+        t = np.array([[z[0]]])
+        rows = _spread_level_rows(a, t, _libm_exp(-a * t))
+        return ym + np.dot(rows[0], y) + z[1:3]
 
     def embed_curves(z: np.ndarray) -> tuple:
         x0 = float(z[0])

@@ -31,7 +31,7 @@ concern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -386,10 +386,13 @@ def shift(f: QEFunction, c: float) -> QEFunction:
 class AnnihilatorPolynomial:
     """Minimal monic polynomial M with M(d/dx) f = 0.
 
-    ``coeffs`` are ascending, coeffs[-1] == 1.0.
+    ``coeffs`` are ascending, coeffs[-1] == 1.0.  ``factors`` are the linear
+    and quadratic root factors of M (ascending, repeated by multiplicity),
+    whose product is ``coeffs``.
     """
 
     coeffs: tuple[float, ...]
+    factors: tuple[tuple[float, ...], ...] = field(compare=False, repr=False)
 
     @property
     def degree(self) -> int:
@@ -399,12 +402,20 @@ class AnnihilatorPolynomial:
         return _peval(self.coeffs, s)
 
     def apply(self, f: QEFunction) -> QEFunction:
-        """M(F) f — zero (to rounding) when f generated the annihilator."""
-        out = QEFunction(())
-        d = f
-        for c in self.coeffs:
-            out = out + d * c
-            d = derive(d)
+        """M(F) f — zero (to rounding) when f generated the annihilator.
+
+        Applied one root factor at a time, so intermediates stay at the scale
+        of f; the expanded sum of coeffs[k] F^k f cancels from orders of
+        magnitude above it on high-degree annihilators.
+        """
+        out = f
+        for factor in self.factors:
+            acc = QEFunction(())
+            d = out
+            for c in factor:
+                acc = acc + d * c
+                d = derive(d)
+            out = acc
         return out
 
 
@@ -445,14 +456,16 @@ def joint_annihilator(funcs: Sequence[QEFunction]) -> AnnihilatorPolynomial:
     if not roots:
         raise ValueError("zero family has no minimal annihilator")
     poly = np.array([1.0])
+    factors: list[tuple[float, ...]] = []
     for (rate, freq), mult in sorted(roots.items()):
         if freq == 0.0:
-            factor = np.array([-rate, 1.0])
+            factor = (-rate, 1.0)
         else:
-            factor = np.array([rate * rate + freq * freq, -2.0 * rate, 1.0])
+            factor = (rate * rate + freq * freq, -2.0 * rate, 1.0)
         for _ in range(mult):
             poly = np.convolve(poly, factor)
-    return AnnihilatorPolynomial(tuple(float(c) for c in poly))
+            factors.append(factor)
+    return AnnihilatorPolynomial(tuple(float(c) for c in poly), tuple(factors))
 
 
 def krylov_dimension(f: QEFunction) -> int:

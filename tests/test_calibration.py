@@ -212,10 +212,10 @@ def test_fast_day_system_matches_literal_assembly():
         u = np.zeros(7)
         u[i] = 1.0
         A[:, i] = cal.residual(snap, SEP_THETA, u[:4], u[4:], base_spreads=base) - c
-    u, norm, rank = cal._solve_day(A, c)
+    u, r, rank = cal._solve_day(A, c)
     sol = cal.inner_solve(snap, SEP_THETA, base_spreads=base)
     assert rank == sol.rank
-    assert abs(norm - sol.residual_norm) < 1e-12
+    assert abs(np.linalg.norm(r) - sol.residual_norm) < 1e-12
     assert np.max(np.abs(np.r_[sol.z1, sol.y] - u)) < 1e-9
 
 
@@ -287,6 +287,57 @@ def test_outer_calibrate_counts_every_objective_call(monkeypatch):
     snaps = short_dataset(6, seed=4, noise_sd=1e-4)
     result = cal.outer_calibrate(snaps, Theta.from_array(SEP_THETA.as_array() * 1.05))
     assert result.diagnostics.nfev == calls > 0
+
+
+def test_outer_calibrate_objective_equals_per_day_loop(monkeypatch):
+    # Oracle: each day assembled and solved on its own, then concatenated in
+    # day order.  The batched objective must match it bit for bit, so the
+    # optimizer's path cannot depend on the batching.
+    least_squares = cal.scipy.optimize.least_squares
+    objectives = []
+
+    def capturing(fun, x0, *args, **kwargs):
+        objectives.append(fun)
+        return least_squares(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(cal.scipy.optimize, "least_squares", capturing)
+    snaps = short_dataset(10, seed=5, noise_sd=1e-4)
+    cal.outer_calibrate(snaps, Theta.from_array(SEP_THETA.as_array() * 1.05))
+    stages = cal._stage_indices(len(snaps))
+    assert len(objectives) >= len(stages)
+    base = snaps[0].log_spreads
+
+    def per_day_loop(vec, idx):
+        a, sig, beta = cal._split(vec)
+        parts = []
+        for k in idx:
+            snap = snaps[k]
+            A, c = cal._day_system(a, sig, beta, np.array([snap.date / cal.DAYS_PER_YEAR]),
+                                   snap.maturities, *cal._market([snap]), base)
+            _, r, _ = cal._solve_day(A[0], c[0])
+            parts.append(r)
+        return np.concatenate(parts)
+
+    points = [SEP_THETA.as_array(), SEP_THETA.as_array() * 1.05,
+              cal.DEFAULT_THETA0.as_array(), cal.REFERENCE_THETA.as_array()]
+    for fun, idx in zip(objectives, stages[:-1] + [stages[-1]] * len(objectives)):
+        for vec in points:
+            assert np.array_equal(fun(vec), per_day_loop(vec, idx))
+
+
+def test_outer_calibrate_requires_shared_maturity_grid():
+    snaps = short_dataset(4)
+    last = snaps[-1]
+    snaps[-1] = MarketSnapshot(last.date, last.maturities[:-1], last.bonds[:, :-1],
+                               last.log_spreads)
+    with pytest.raises(CalibrationError, match="maturity grid"):
+        cal.outer_calibrate(snaps, SEP_THETA)
+
+
+def test_day_fits_keep_design_rank():
+    snaps = short_dataset(6, seed=4)
+    result = cal.outer_calibrate(snaps, SEP_THETA, globalize=False)
+    assert [f.rank for f in result.per_day] == [7] * len(snaps)
 
 
 def test_outer_calibrate_reports_budget_exhaustion():

@@ -113,6 +113,23 @@ def test_non_finite_values_exit_with_data_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_solver_failure_exits_with_numerical_error(tmp_path, capsys):
+    # A finite but absurd day-0 log-spread overflows the solver's residuals.
+    src = make_dataset(tmp_path, days=6)
+    lines = src.read_text().splitlines()
+    first_quote = lines.index(cli.SPREAD_HEADER) + 1
+    lines[first_quote] = lines[first_quote].rsplit(",", 1)[0] + ",1e200"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run("calibrate", "--dataset", str(bad), "--out", str(tmp_path / "o")) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_read_dataset_requires_contiguous_dates(tmp_path):
     src = make_dataset(tmp_path, days=3)
     text = src.read_text().replace("\n2,", "\n5,")

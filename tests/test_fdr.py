@@ -68,6 +68,24 @@ def test_hw3_dimensions_and_annihilator():
     assert np.allclose(generic.meta["annihilators"][0], expected, rtol=1e-9)
 
 
+def test_hw3_observables_batched_over_days_equal_scalar_calls():
+    # One call over K running times returns, day by day, exactly what the
+    # scalar call returns at each time: same operations, no tolerance.
+    x = np.array([1 / 12, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0])
+    times = np.r_[0.0, np.arange(1, 126) / 250.0]
+    for a, sig, beta in ((THETA0.a, THETA0.sigma, THETA0.beta),
+                         ((0.35, 0.62, 0.88), (0.15, 0.10, 0.07), (0.45, -0.30))):
+        Wz, Wy, c = fdr.hw3_affine_observables(a, sig, beta, times, x)
+        rows = 3 * x.size + 2
+        assert (Wz.shape, Wy.shape, c.shape) == (
+            (times.size, rows, 4), (times.size, rows, 3), (times.size, rows))
+        for k, t in enumerate(times):
+            one = fdr.hw3_affine_observables(a, sig, beta, float(t), x)
+            assert one[0].shape == (rows, 4)
+            for batched, scalar in zip((Wz, Wy, c), one):
+                assert np.array_equal(batched[k], scalar)
+
+
 def test_embed_at_origin_recovers_initial_configuration():
     x = np.linspace(0.0, 9.0, 37)
     initial = hw3_initial()

@@ -338,7 +338,6 @@ def residual(
     y,
     *,
     base_spreads=None,
-    t_elapsed: Optional[float] = None,
 ) -> np.ndarray:
     """Fit residual of length 3n + 2 at one trading day.
 
@@ -354,9 +353,9 @@ def residual(
         raise ValueError("z1 must have shape (4,)")
     if y.shape != (3,):
         raise ValueError("y must have shape (3,)")
-    t = _elapsed(snapshot) if t_elapsed is None else float(t_elapsed)
     base = _base_spreads(snapshot, base_spreads)
-    Wz, Wy, c = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta, t, snapshot.maturities)
+    Wz, Wy, c = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta, _elapsed(snapshot),
+                                           snapshot.maturities)
     model = Wz @ z1 + Wy @ y + c
     n = snapshot.n
     out = np.empty(3 * n + 2)
@@ -402,7 +401,6 @@ def inner_solve(
     theta: Theta,
     *,
     base_spreads=None,
-    t_elapsed: Optional[float] = None,
 ) -> InnerSolution:
     """Minimize the day's residual norm over the linear variables (z1, y).
 
@@ -410,8 +408,7 @@ def inner_solve(
     values below ``1e-12 * s_max`` treated as zero.  A design matrix of
     rank < 7 yields the minimal-norm solution and sets ``rank_deficient``.
     """
-    t = _elapsed(snapshot) if t_elapsed is None else float(t_elapsed)
-    A, c = _day_system(theta.a, theta.sigma, theta.beta, np.array([t]),
+    A, c = _day_system(theta.a, theta.sigma, theta.beta, np.array([_elapsed(snapshot)]),
                        snapshot.maturities, *_market([snapshot]),
                        _base_spreads(snapshot, base_spreads))
     u, r, rank = _solve_day(A[0], c[0])
@@ -424,20 +421,6 @@ def inner_solve(
 # ---------------------------------------------------------------------------
 # outer problem
 # ---------------------------------------------------------------------------
-
-
-def _check_bounds(theta: Theta, bounds) -> tuple[np.ndarray, np.ndarray]:
-    if bounds is None:
-        lo, hi = DEFAULT_BOUNDS
-    else:
-        lo = np.asarray(bounds[0], dtype=float)
-        hi = np.asarray(bounds[1], dtype=float)
-        if lo.shape != (8,) or hi.shape != (8,) or np.any(lo >= hi):
-            raise CalibrationError("bounds must be two (8,) arrays with lo < hi")
-    vec = theta.as_array()
-    if np.any(vec < lo) or np.any(vec > hi):
-        raise CalibrationError("theta0 lies outside the calibration bounds")
-    return lo, hi
 
 
 def _split(vec: np.ndarray):
@@ -458,13 +441,13 @@ def _stage_indices(n: int) -> list[np.ndarray]:
 def outer_calibrate(
     snapshots: Sequence[MarketSnapshot],
     theta0: Theta,
-    bounds=None,
     *,
     base_spreads=None,
     max_iterations: int = 200,
     globalize: bool = True,
 ) -> CalibrationResult:
-    """Bounded nonlinear least squares over theta with nested inner solves.
+    """Nonlinear least squares over theta within ``DEFAULT_BOUNDS``, with
+    nested inner solves.
 
     The objective stacks, day by day, the residual vector left after the
     optimal linear fit of (z1, y).  Because the per-day linear fit absorbs
@@ -491,7 +474,9 @@ def outer_calibrate(
     dates = [s.date for s in snapshots]
     if np.any(np.diff(dates) <= 0):
         raise CalibrationError("snapshot dates must be strictly increasing")
-    lo, hi = _check_bounds(theta0, bounds)
+    x = theta0.as_array()
+    if np.any(x < DEFAULT_BOUNDS[0]) or np.any(x > DEFAULT_BOUNDS[1]):
+        raise CalibrationError("theta0 lies outside the calibration bounds")
     base = _base_spreads(snapshots[0], base_spreads)
     mats = snapshots[0].maturities
     if any(not np.array_equal(s.maturities, mats) for s in snapshots):
@@ -516,12 +501,11 @@ def outer_calibrate(
 
     def run(idx, x, jac, cap):
         return scipy.optimize.least_squares(
-            stacked_for(idx), x, bounds=(lo, hi), method="trf", jac=jac,
+            stacked_for(idx), x, bounds=DEFAULT_BOUNDS, method="trf", jac=jac,
             ftol=1e-10, xtol=1e-12, gtol=1e-14, max_nfev=cap,
         )
 
     stages = _stage_indices(len(snapshots))
-    x = theta0.as_array()
     njev = 0
     if globalize:
         for idx in stages[:-1]:
@@ -644,7 +628,6 @@ def window_sweep(
     window_lengths: Sequence[int],
     end_date: int,
     theta0: Theta,
-    bounds=None,
 ) -> tuple[SweepRow, ...]:
     """Calibrate trailing windows of several lengths ending at ``end_date``.
 
@@ -673,7 +656,7 @@ def window_sweep(
             ))
             continue
         window = dataset[start_pos:end_pos + 1]
-        result = outer_calibrate(window, theta0, bounds, base_spreads=base)
+        result = outer_calibrate(window, theta0, base_spreads=base)
         metrics = error_metrics(result, window)
         rows.append(SweepRow(
             months=int(months), start_date=window[0].date, end_date=end_date,
@@ -689,7 +672,6 @@ def stability_analysis(
     theta0: Theta,
     window_months: int = 4,
     rolls: int = 50,
-    bounds=None,
 ) -> StabilityReport:
     """Roll a fixed-length window one day at a time and track the estimates.
 
@@ -713,7 +695,7 @@ def stability_analysis(
     for k in range(rolls):
         window = dataset[k:k + wlen]
         try:
-            result = outer_calibrate(window, guess, bounds, base_spreads=base,
+            result = outer_calibrate(window, guess, base_spreads=base,
                                      globalize=(k == 0))
         except CalibrationError:
             continue

@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -79,15 +80,22 @@ class NumericalFailureError(CliError):
     exit_code = EXIT_NUMERICAL
 
 
-def _solver_failure(exc: ValueError) -> NumericalFailureError:
-    """Exit-code-5 error, with a one-line message, for a failed calibration:
-    a violated precondition (``CalibrationError``), or a ``ValueError``
-    raised inside the solvers, ``LinAlgError`` included (e.g. non-finite
-    residuals)."""
-    if isinstance(exc, cal.CalibrationError):
-        return NumericalFailureError(str(exc))
-    first = (str(exc).splitlines() or [""])[0]
-    return NumericalFailureError(f"calibration solver failed ({type(exc).__name__}): {first}")
+@contextmanager
+def _solver_failures():
+    """Turn a failed calibration into one exit-code-5 line: a violated
+    precondition (``CalibrationError``), or a ``ValueError`` raised inside
+    the solvers, ``LinAlgError`` included (e.g. non-finite residuals).
+    Callers run the solvers themselves under ``np.errstate(all="ignore")``,
+    so numpy's floating-point warnings from a failing fit do not precede
+    that line."""
+    try:
+        yield
+    except cal.CalibrationError as exc:
+        raise NumericalFailureError(str(exc)) from exc
+    except ValueError as exc:
+        first = (str(exc).splitlines() or [""])[0]
+        raise NumericalFailureError(
+            f"calibration solver failed ({type(exc).__name__}): {first}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +451,11 @@ def cmd_calibrate(config: RunConfig) -> None:
         raise InsufficientDataError("calibration needs at least two days of data")
     theta0 = _theta_from(config, "theta0", cal.DEFAULT_THETA0)
     max_iterations = config.get_int("max_iterations", 200)
-    try:
-        result = cal.outer_calibrate(snapshots, theta0,
-                                     max_iterations=max_iterations)
+    with _solver_failures():
+        with np.errstate(all="ignore"):
+            result = cal.outer_calibrate(snapshots, theta0,
+                                         max_iterations=max_iterations)
         metrics = cal.error_metrics(result, snapshots)
-    except ValueError as exc:
-        raise _solver_failure(exc) from exc
 
     out = config.out
     theta_star = result.theta_star.as_array()
@@ -622,11 +629,9 @@ def cmd_stability(config: RunConfig) -> None:
             f"dataset has {len(dataset)} days; {rolls} rolls of a "
             f"{window_months}-month window need at least {needed}"
         )
-    try:
+    with _solver_failures(), np.errstate(all="ignore"):
         report = cal.stability_analysis(dataset, theta0,
                                         window_months=window_months, rolls=rolls)
-    except ValueError as exc:
-        raise _solver_failure(exc) from exc
     _write_csv(config.out / "stability_table.csv", "parameter,mean,std", [
         (name, _fmt(m), _fmt(s))
         for name, m, s in zip(report.parameter_names, report.mean, report.std)
@@ -644,10 +649,8 @@ def cmd_sweep(config: RunConfig) -> None:
     end_date = config.get_int("end_date", dataset[-1].date)
     if not any(s.date == end_date for s in dataset):
         raise InsufficientDataError(f"dataset does not contain end_date {end_date}")
-    try:
+    with _solver_failures(), np.errstate(all="ignore"):
         rows = cal.window_sweep(dataset, lengths, end_date, theta0)
-    except ValueError as exc:
-        raise _solver_failure(exc) from exc
     table = []
     for row in rows:
         if row.skipped:

@@ -23,7 +23,7 @@ extended *flat* beyond their grid on both sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -53,17 +53,17 @@ class AnalyticCurve:
     """Forward curve given by an exact quasi-exponential expression."""
 
     func: qe.QEFunction
-    _integral: qe.QEFunction = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_integral", qe.integrate_from_zero(self.func))
 
     def value(self, x):
         return qe.evaluate(self.func, x)
 
     def integral(self, x):
         """int_0^x r(s) ds, closed form."""
-        return qe.evaluate(self._integral, x)
+        return qe.evaluate(qe.integrate_from_zero(self.func), x)
+
+    def plus(self, f: qe.QEFunction) -> "AnalyticCurve":
+        """The curve r + f, exactly."""
+        return AnalyticCurve(self.func + f)
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,10 @@ class SampledCurve:
     def value(self, x):
         out = np.interp(np.asarray(x, dtype=float), self.grid, self.values)
         return float(out) if np.ndim(x) == 0 else out
+
+    def plus(self, f: qe.QEFunction) -> "SampledCurve":
+        """The curve r + f, with f sampled on the same grid."""
+        return SampledCurve(self.grid, self.values + qe.evaluate(f, self.grid))
 
     def integral(self, x):
         """int_0^x of the interpolant (flat outside the grid)."""

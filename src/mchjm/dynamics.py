@@ -14,13 +14,20 @@ Two volatility specifications are supported:
 
 * ``ConstantVolSpec`` — sigma^j_i and beta^j_i are state-independent;
   sigma^j_i are exact quasi-exponential curves.  Ito and Stratonovich drifts
-  coincide.
+  coincide.  The spec builds the whole volatility part of curve j's drift,
+  sum_i sigma^j_i H sigma^j_i - beta^j_i sigma^j_i, once at construction
+  (``ConstantVolSpec.vol_drift``).
 * ``ConstantDirectionVolSpec`` — sigma^j_i(r)(x) = phi^j_i(r) lambda^j_i(x)
-  with scalar state-dependent loadings phi, beta.  The Stratonovich
+  with scalar state-dependent loadings phi, beta.  The spec builds the
+  kernels D^j_i = lambda^j_i H lambda^j_i once at construction
+  (``ConstantDirectionVolSpec.D``); at a state the volatility part of the
+  drift is sum_i phi^2 D^j_i - beta phi lambda^j_i.  The Stratonovich
   correction involves the Frechet derivatives of phi and beta; for the
   built-in constant / affine-in-log-spread loadings these are exact, for
   custom callables they are central finite differences with step
   1e-6 (1 + sup-norm of the state).
+
+``ito_drift`` and ``simulate_hjm`` both read these cached kernels.
 
 ``simulate_hjm`` is an Euler-Maruyama scheme on a uniform maturity grid with
 *upwind* differencing for the transport term F r (flat beyond the far grid
@@ -153,11 +160,7 @@ class ScalarField:
 
 def _perturb_curve(state: MultiCurveState, h: int, direction: qe.QEFunction, eps: float) -> MultiCurveState:
     curves = list(state.curves)
-    c = curves[h]
-    if isinstance(c, AnalyticCurve):
-        curves[h] = AnalyticCurve(c.func + direction * eps)
-    else:
-        curves[h] = SampledCurve(c.grid, c.values + eps * qe.evaluate(direction, c.grid))
+    curves[h] = curves[h].plus(direction * eps)
     return MultiCurveState(tuple(curves), state.log_spreads)
 
 
@@ -181,6 +184,7 @@ class ConstantVolSpec:
 
     sigma: tuple[tuple[qe.QEFunction, ...], ...]
     beta: np.ndarray
+    _vol_drift: tuple[qe.QEFunction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.beta, dtype=float))
@@ -198,6 +202,21 @@ class ConstantVolSpec:
         b.setflags(write=False)
         object.__setattr__(self, "sigma", rows)
         object.__setattr__(self, "beta", b)
+        drifts = []
+        for j, row in enumerate(rows):
+            acc = qe.QEFunction(())
+            for i, s in enumerate(row):
+                if s.is_zero:
+                    continue
+                acc = acc + qe.multiply(s, qe.integrate_from_zero(s))
+                if j >= 1:
+                    acc = acc + s * (-float(b[j - 1, i]))
+            drifts.append(acc)
+        object.__setattr__(self, "_vol_drift", tuple(drifts))
+
+    def vol_drift(self, j: int) -> qe.QEFunction:
+        """sum_i sigma^j_i H sigma^j_i - beta^j_i sigma^j_i (beta^0 = 0)."""
+        return self._vol_drift[j]
 
     @property
     def m(self) -> int:
@@ -253,6 +272,13 @@ class ConstantDirectionVolSpec:
     def D(self, j: int, i: int) -> qe.QEFunction:
         """D^j_i = lambda^j_i * H lambda^j_i (drift kernel)."""
         return self._D[j][i]
+
+    def loadings(self, state: MultiCurveState) -> tuple[np.ndarray, np.ndarray]:
+        """phi (m+1, d) and beta (m, d) at the state, after ``check_nonzero``."""
+        self.check_nonzero(state)
+        phi = np.array([[f(state) for f in row] for row in self.phi])
+        beta = np.array([[f(state) for f in row] for row in self.beta]).reshape(self.m, self.d)
+        return phi, beta
 
     def check_nonzero(self, state: MultiCurveState) -> None:
         for j, row in enumerate(self.phi):
@@ -314,12 +340,8 @@ def sigma_fields(spec: VolSpec, state: MultiCurveState):
     """sigma^j_i at this state as QE curves, and beta values as an (m, d) array."""
     if isinstance(spec, ConstantVolSpec):
         return spec.sigma, np.array(spec.beta)
-    spec.check_nonzero(state)
-    sig = tuple(
-        tuple(spec.lam[j][i] * spec.phi[j][i](state) for i in range(spec.d))
-        for j in range(spec.m + 1)
-    )
-    beta = np.array([[spec.beta[j][i](state) for i in range(spec.d)] for j in range(spec.m)])
+    phi, beta = spec.loadings(state)
+    sig = tuple(tuple(f * p for f, p in zip(lam, ph)) for lam, ph in zip(spec.lam, phi))
     return sig, beta
 
 
@@ -327,22 +349,23 @@ def ito_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
     """Risk-neutral Ito drift of (r^0..r^m, Y^1..Y^m)."""
     if state.m != spec.m:
         raise ValueError("state and volatility spec disagree on the number of tenors")
-    sig, beta = sigma_fields(spec, state)
     m = state.m
-    curves_out = []
-    for j in range(m + 1):
-        vol_part = qe.QEFunction(())
-        for i, s in enumerate(sig[j]):
-            if s.is_zero:
-                continue
-            vol_part = vol_part + qe.multiply(s, qe.integrate_from_zero(s))
-            if j >= 1:
-                vol_part = vol_part + s * (-beta[j - 1, i])
-        Fr = _transport_term(state.curves[j])
-        if isinstance(Fr, AnalyticCurve):
-            curves_out.append(AnalyticCurve(Fr.func + vol_part))
-        else:
-            curves_out.append(SampledCurve(Fr.grid, Fr.values + qe.evaluate(vol_part, Fr.grid)))
+    if isinstance(spec, ConstantVolSpec):
+        beta = spec.beta
+        vol = [spec.vol_drift(j) for j in range(m + 1)]
+    else:
+        phi, beta = spec.loadings(state)
+        vol = []
+        for j in range(m + 1):
+            acc = qe.QEFunction(())
+            for i, p in enumerate(phi[j]):
+                if p == 0.0 or spec.lam[j][i].is_zero:
+                    continue
+                acc = acc + spec.D(j, i) * (p * p)
+                if j >= 1:
+                    acc = acc + spec.lam[j][i] * (-(beta[j - 1, i] * p))
+            vol.append(acc)
+    curves_out = [_transport_term(c).plus(v) for c, v in zip(state.curves, vol)]
     r0_short = state.curves[0].value(0.0)
     spread_out = np.array(
         [
@@ -362,11 +385,9 @@ def stratonovich_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
     base = ito_drift(state, spec)
     if isinstance(spec, ConstantVolSpec):
         return base
-    spec.check_nonzero(state)
     m, d = spec.m, spec.d
     step = _FD_SCALE * (1.0 + state_sup_norm(state))
-    phi_val = np.array([[spec.phi[j][i](state) for i in range(d)] for j in range(m + 1)])
-    beta_val = np.array([[spec.beta[j][i](state) for i in range(d)] for j in range(m)])
+    phi_val, beta_val = spec.loadings(state)
 
     def dfield(f: ScalarField, i: int) -> float:
         """(d f)[sigma_hat_i] — derivative of f along the i-th diffusion field."""
@@ -393,13 +414,7 @@ def stratonovich_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
             # drift; only the d(phi) half remains to subtract here
             kappa = 0.5 * dfield(f, i)
             corr = corr + spec.lam[j][i] * (-kappa)
-        base_curve = base.curves[j]
-        if isinstance(base_curve, AnalyticCurve):
-            curves_out.append(AnalyticCurve(base_curve.func + corr))
-        else:
-            curves_out.append(
-                SampledCurve(base_curve.grid, base_curve.values + qe.evaluate(corr, base_curve.grid))
-            )
+        curves_out.append(base.curves[j].plus(corr))
     spreads_out = np.array(base.spreads)
     for j in range(1, m + 1):
         corr = 0.0
@@ -549,17 +564,7 @@ def simulate_hjm(
         for j in range(m + 1):
             for i in range(d):
                 sig_arr[j, i] = qe.evaluate(spec.sigma[j][i], grid)
-        vol_drift = np.zeros((m + 1, nx))
-        for j in range(m + 1):
-            acc = qe.QEFunction(())
-            for i in range(d):
-                s = spec.sigma[j][i]
-                if s.is_zero:
-                    continue
-                acc = acc + qe.multiply(s, qe.integrate_from_zero(s))
-                if j >= 1:
-                    acc = acc + s * (-float(spec.beta[j - 1, i]))
-            vol_drift[j] = qe.evaluate(acc, grid)
+        vol_drift = np.stack([qe.evaluate(spec.vol_drift(j), grid) for j in range(m + 1)])
         beta_arr = np.array(spec.beta)
         half_beta_sq = 0.5 * np.sum(beta_arr**2, axis=1)
     else:

@@ -410,14 +410,8 @@ def tangency_residual(
         raise ImmersionError("family jacobian is rank deficient at this parameter point")
 
     state = family.embed(z)
-    drift = stratonovich_drift(state, spec)
-    targets = [np.concatenate([drift.curve_values(g).ravel(), drift.spreads])]
-    sig, beta = sigma_fields(spec, state)
-    for i in range(spec.d):
-        rows = np.stack([qe.evaluate(sig[j][i], g) for j in range(spec.m + 1)])
-        targets.append(np.concatenate([rows.ravel(), beta[:, i]]))
-
-    residuals = [_relative_lstsq_residual(jac, t) for t in targets]
+    mu, sigmas = model_fields(spec)
+    residuals = [_relative_lstsq_residual(jac, f(state).values(g)) for f in (mu, *sigmas)]
     worst = max(residuals)
     if worst > threshold:
         verdict = "inconsistent"

@@ -144,16 +144,6 @@ def test_spread_rows_reference_base_spreads():
     np.testing.assert_allclose(r1[3 * n:], r0[3 * n:] + shift, atol=1e-15)
 
 
-def test_residual_accepts_explicit_clock():
-    snap = short_dataset(5)[3]
-    r_dated = cal.residual(snap, SEP_THETA, np.zeros(4), np.zeros(3),
-                           base_spreads=np.array(YM0))
-    r_clock = cal.residual(snap, SEP_THETA, np.zeros(4), np.zeros(3),
-                           base_spreads=np.array(YM0),
-                           t_elapsed=snap.date / cal.DAYS_PER_YEAR)
-    np.testing.assert_array_equal(r_dated, r_clock)
-
-
 # ---------------------------------------------------------------------------
 # inner solve
 # ---------------------------------------------------------------------------
@@ -355,11 +345,10 @@ def test_outer_calibrate_input_validation():
         cal.outer_calibrate(snaps[:1], SEP_THETA)
     with pytest.raises(CalibrationError):
         cal.outer_calibrate([snaps[0], snaps[0]], SEP_THETA)
-    outside = Theta.from_array(np.r_[SEP_THETA.as_array()[:7], 0.9])
-    lo, hi = (b.copy() for b in cal.DEFAULT_BOUNDS)
-    hi[7] = 0.5
-    with pytest.raises(CalibrationError):
-        cal.outer_calibrate(snaps, outside, bounds=(lo, hi))
+    below_floor = SEP_THETA.as_array()
+    below_floor[1] = 5e-7  # sigma0: a valid Theta under the 1e-6 bound
+    with pytest.raises(CalibrationError, match="bounds"):
+        cal.outer_calibrate(snaps, Theta.from_array(below_floor))
 
 
 def test_stage_indices_cover_window():

@@ -1,5 +1,8 @@
 """Command-line surface: config parsing, dataset files, command contracts."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,21 +116,40 @@ def test_non_finite_values_exit_with_data_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_solver_failure_exits_with_numerical_error(tmp_path, capsys):
-    # A finite but absurd day-0 log-spread overflows the solver's residuals.
+def overflowing_dataset(tmp_path: Path) -> Path:
+    """A dataset whose finite but absurd day-0 log-spread (1e200) overflows
+    the solver's residuals."""
     src = make_dataset(tmp_path, days=6)
     lines = src.read_text().splitlines()
     first_quote = lines.index(cli.SPREAD_HEADER) + 1
     lines[first_quote] = lines[first_quote].rsplit(",", 1)[0] + ",1e200"
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+def test_solver_failure_exits_with_numerical_error(tmp_path, capsys):
+    bad = overflowing_dataset(tmp_path)
     capsys.readouterr()
     assert run("calibrate", "--dataset", str(bad), "--out", str(tmp_path / "o")) == 5
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_solver_failure_prints_one_stderr_line_in_a_process(tmp_path):
+    # pytest records warnings apart from stderr, so only a real process shows
+    # numpy's floating-point RuntimeWarnings on the way to the error line.
+    bad = overflowing_dataset(tmp_path)
+    src_root = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src_root, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mchjm.cli", "calibrate", "--dataset", str(bad),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 5
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_read_dataset_requires_contiguous_dates(tmp_path):

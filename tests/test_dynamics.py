@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mchjm import qe
-from mchjm.curves import AnalyticCurve, MultiCurveState, SampledCurve
+from mchjm.curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState, SampledCurve
 from mchjm.dynamics import (
     ConstantDirectionVolSpec,
     ConstantVolSpec,
@@ -91,6 +91,30 @@ def test_stratonovich_equals_ito_for_constant_vol():
     for j in range(3):
         np.testing.assert_array_equal(a.curves[j].value(xs), b.curves[j].value(xs))
     np.testing.assert_array_equal(a.spreads, b.spreads)
+
+
+def test_constant_loadings_match_constant_vol_spec():
+    # phi = 0.7 and constant beta: sigma = 0.7 lambda is a constant-vol model,
+    # so phi^2 D - beta phi lambda must equal sigma H sigma - beta sigma.
+    zero = qe.QEFunction(())
+    lam = (
+        (qe.exponential(0.10, -0.5), qe.exponential(0.03, -1.2)),
+        (qe.exponential(0.12, -0.7), zero),
+        (qe.exponential(0.09, -0.6), qe.exponential(0.05, -0.9)),
+    )
+    betas = ((0.3, -0.2), (0.25, 0.1))
+    cdv = ConstantDirectionVolSpec(
+        lam,
+        tuple(tuple(ScalarField.constant(0.7) for _ in row) for row in lam),
+        tuple(tuple(ScalarField.constant(b) for b in row) for row in betas),
+    )
+    cv = ConstantVolSpec(tuple(tuple(f * 0.7 for f in row) for row in lam), np.array(betas))
+    state = ns_state()
+    for drift in (ito_drift, stratonovich_drift):
+        got, want = drift(state, cdv), drift(state, cv)
+        got_x, want_x = got.curve_values(DEFAULT_GRID), want.curve_values(DEFAULT_GRID)
+        assert np.max(np.abs(got_x - want_x)) <= 1e-14 * np.max(np.abs(want_x))
+        np.testing.assert_allclose(got.spreads, want.spreads, rtol=1e-14, atol=0.0)
 
 
 def _cdv_example_spec(sig=(0.006, 0.01, 0.009), a=(0.5, 0.66, 0.62),

@@ -577,17 +577,16 @@ def cmd_check(config: RunConfig) -> None:
             a = config.get_floats("a", CHECK_A[:1], 1)
             params = geometry.HullWhiteStackParams(sigma=sigma, a=a)
             fam = geometry.nelson_siegel_family(params.a)
-            report = geometry.tangency_residual(
-                fam, geometry.single_factor_stack_spec(params),
-                np.array([0.02, -0.015, 0.004]))
+            spec = dynamics.single_factor_spec(params.sigma, params.a, params.beta)
+            report = geometry.tangency_residual(fam, spec, np.array([0.02, -0.015, 0.004]))
             reports = [("plain", report)]
         elif family == "ns-strategy1":
             params = _stack_params(config)
             fam = geometry.build_modified_ns_family(params, strategy=1)
             z = np.concatenate([np.tile((0.02, -0.015, 0.004, 0.002), 3),
                                 [0.0035, 0.0070]])
-            report = geometry.tangency_residual(
-                fam, geometry.single_factor_stack_spec(params), z)
+            spec = dynamics.single_factor_spec(params.sigma, params.a, params.beta)
+            report = geometry.tangency_residual(fam, spec, z)
             reports = [("strategy1", report)]
         else:
             params = _stack_params(config)

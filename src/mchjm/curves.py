@@ -61,10 +61,6 @@ class AnalyticCurve:
         """int_0^x r(s) ds, closed form."""
         return qe.evaluate(qe.integrate_from_zero(self.func), x)
 
-    def plus(self, f: qe.QEFunction) -> "AnalyticCurve":
-        """The curve r + f, exactly."""
-        return AnalyticCurve(self.func + f)
-
 
 @dataclass(frozen=True)
 class SampledCurve:
@@ -95,10 +91,6 @@ class SampledCurve:
     def value(self, x):
         out = np.interp(np.asarray(x, dtype=float), self.grid, self.values)
         return float(out) if np.ndim(x) == 0 else out
-
-    def plus(self, f: qe.QEFunction) -> "SampledCurve":
-        """The curve r + f, with f sampled on the same grid."""
-        return SampledCurve(self.grid, self.values + qe.evaluate(f, self.grid))
 
     def integral(self, x):
         """int_0^x of the interpolant (flat outside the grid)."""

@@ -17,40 +17,32 @@ Two volatility specifications are supported:
   coincide.  The spec builds the whole volatility part of curve j's drift,
   sum_i sigma^j_i H sigma^j_i - beta^j_i sigma^j_i, once at construction
   (``ConstantVolSpec.vol_drift``).
-* ``ConstantDirectionVolSpec`` — sigma^j_i(r)(x) = phi^j_i(r) lambda^j_i(x)
-  with scalar state-dependent loadings phi, beta.  The spec builds the
-  kernels D^j_i = lambda^j_i H lambda^j_i once at construction
-  (``ConstantDirectionVolSpec.D``); at a state the volatility part of the
-  drift is sum_i phi^2 D^j_i - beta phi lambda^j_i.  The Stratonovich
-  correction involves the Frechet derivatives of phi and beta; for the
-  built-in constant / affine-in-log-spread loadings these are exact, for
-  custom callables they are central finite differences with step
-  1e-6 (1 + sup-norm of the state).
+* ``ConstantDirectionVolSpec`` — sigma^j_i(Y)(x) = phi^j_i(Y) lambda^j_i(x)
+  with scalar loadings phi, beta of the form c + s Y^k (``ScalarField``).
+  The spec builds the kernels D^j_i = lambda^j_i H lambda^j_i once at
+  construction (``ConstantDirectionVolSpec.D``); at a state the volatility
+  part of the drift is sum_i phi^2 D^j_i - beta phi lambda^j_i.  A loading
+  c + s Y^k changes along the i-th diffusion field at the rate s beta^k_i,
+  so the Stratonovich correction is exact.
 
-``ito_drift`` and ``simulate_hjm`` both read these cached kernels.
+``ito_drift`` and ``simulate_hjm`` both read these cached kernels.  Drifts
+are defined on analytic states only; a sampled curve raises ``TypeError``.
 
 ``simulate_hjm`` is an Euler-Maruyama scheme on a uniform maturity grid with
 *upwind* differencing for the transport term F r (flat beyond the far grid
-end, so the derivative there is 0).  ``ito_drift``/``stratonovich_drift`` on
-sampled curves use central differences instead (one-sided at the ends).
+end, so the derivative there is 0).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import qe
-from .curves import (
-    DEFAULT_GRID,
-    AnalyticCurve,
-    ForwardCurve,
-    MultiCurveState,
-    SampledCurve,
-)
+from .curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState
 
 __all__ = [
     "NonzeroConditionError",
@@ -71,10 +63,7 @@ __all__ = [
     "single_factor_spec",
     "hull_white_three_curve_spec",
     "record_index",
-    "state_sup_norm",
 ]
-
-_FD_SCALE = 1e-6  # Frechet-derivative step scale
 
 
 class NonzeroConditionError(ValueError):
@@ -92,85 +81,35 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function of the multi-curve state.
+    """Scalar loading const + slope * Y^k of the log-spreads (k >= 1).
 
-    Kinds: ``constant``; ``affine`` = c0 + c1 * Y^k (log-spread k >= 1);
-    ``custom`` = arbitrary callable of the state.
+    ``constant(c)`` is the case slope = 0; it never reads a log-spread, so it
+    also serves one-curve (m = 0) specs.
     """
 
-    kind: str
     const: float = 0.0
     slope: float = 0.0
     spread_index: int = 1
-    fn: Optional[Callable[[MultiCurveState], float]] = None
 
     @staticmethod
     def constant(c: float) -> "ScalarField":
-        return ScalarField("constant", const=float(c))
+        return ScalarField(float(c))
 
     @staticmethod
     def affine_log_spread(c0: float, c1: float, k: int) -> "ScalarField":
         if k < 1:
             raise ValueError("log-spread index must be >= 1")
-        return ScalarField("affine", const=float(c0), slope=float(c1), spread_index=k)
-
-    @staticmethod
-    def custom(fn: Callable[[MultiCurveState], float]) -> "ScalarField":
-        return ScalarField("custom", fn=fn)
+        return ScalarField(float(c0), float(c1), k)
 
     @property
     def identically_zero(self) -> bool:
-        if self.kind == "constant":
-            return self.const == 0.0
-        if self.kind == "affine":
-            return self.const == 0.0 and self.slope == 0.0
-        return False
+        return self.const == 0.0 and self.slope == 0.0
 
-    def __call__(self, state: MultiCurveState) -> float:
-        if self.kind == "constant":
+    def __call__(self, log_spreads: np.ndarray):
+        """The field at log-spreads whose last axis holds Y^1..Y^m."""
+        if self.slope == 0.0:
             return self.const
-        if self.kind == "affine":
-            return self.const + self.slope * float(state.log_spreads[self.spread_index - 1])
-        return float(self.fn(state))
-
-    # Frechet derivatives -------------------------------------------------
-
-    def d_log_spread(self, state: MultiCurveState, k: int, step: float) -> float:
-        """d field / d Y^k at the state."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "affine":
-            return self.slope if k == self.spread_index else 0.0
-        y_plus = np.array(state.log_spreads)
-        y_minus = np.array(state.log_spreads)
-        y_plus[k - 1] += step
-        y_minus[k - 1] -= step
-        up = self.fn(MultiCurveState(state.curves, y_plus))
-        dn = self.fn(MultiCurveState(state.curves, y_minus))
-        return (up - dn) / (2 * step)
-
-    def d_curve(self, state: MultiCurveState, h: int, direction: qe.QEFunction, step: float) -> float:
-        """Directional derivative w.r.t. curve r^h in the given direction."""
-        if self.kind in ("constant", "affine"):
-            return 0.0
-        up = self.fn(_perturb_curve(state, h, direction, step))
-        dn = self.fn(_perturb_curve(state, h, direction, -step))
-        return (up - dn) / (2 * step)
-
-
-def _perturb_curve(state: MultiCurveState, h: int, direction: qe.QEFunction, eps: float) -> MultiCurveState:
-    curves = list(state.curves)
-    curves[h] = curves[h].plus(direction * eps)
-    return MultiCurveState(tuple(curves), state.log_spreads)
-
-
-def state_sup_norm(state: MultiCurveState, grid: Optional[np.ndarray] = None) -> float:
-    """Sup-norm of the state: max |curve values| on the grid and |log-spreads|."""
-    out = float(np.max(np.abs(state.log_spreads))) if state.m else 0.0
-    for c in state.curves:
-        g = c.grid if isinstance(c, SampledCurve) else (DEFAULT_GRID if grid is None else grid)
-        out = max(out, float(np.max(np.abs(c.value(g)))))
-    return out
+        return self.const + self.slope * log_spreads[..., self.spread_index - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +168,13 @@ class ConstantVolSpec:
 
 @dataclass(frozen=True)
 class ConstantDirectionVolSpec:
-    """sigma^j_i(r)(x) = phi^j_i(r) lambda^j_i(x), beta^j_i = beta^j_i(r).
+    """sigma^j_i(Y)(x) = phi^j_i(Y) lambda^j_i(x), beta^j_i = beta^j_i(Y).
 
     ``lam[j][i]`` are QE curves, ``phi[j][i]`` and ``beta[j-1][i]`` scalar
-    fields.  Identically-zero entries mean "factor i does not drive
-    component j" and are allowed; a *structurally* nonzero field evaluating
-    to zero at a state raises ``NonzeroConditionError`` (it breaks the drift
-    inversion of the associated realization).
+    fields const + slope * Y^k.  Identically-zero entries mean "factor i
+    does not drive component j" and are allowed; a *structurally* nonzero
+    field evaluating to zero at a state raises ``NonzeroConditionError`` (it
+    breaks the drift inversion of the associated realization).
     """
 
     lam: tuple[tuple[qe.QEFunction, ...], ...]
@@ -274,21 +213,17 @@ class ConstantDirectionVolSpec:
         return self._D[j][i]
 
     def loadings(self, state: MultiCurveState) -> tuple[np.ndarray, np.ndarray]:
-        """phi (m+1, d) and beta (m, d) at the state, after ``check_nonzero``."""
-        self.check_nonzero(state)
-        phi = np.array([[f(state) for f in row] for row in self.phi])
-        beta = np.array([[f(state) for f in row] for row in self.beta]).reshape(self.m, self.d)
+        """phi (m+1, d) and beta (m, d) at the state; ``NonzeroConditionError``
+        names the first structurally nonzero field, phi before beta, that
+        vanishes there."""
+        y = state.log_spreads
+        phi = np.array([[f(y) for f in row] for row in self.phi])
+        beta = np.array([[f(y) for f in row] for row in self.beta]).reshape(self.m, self.d)
+        for name, first, fields, vals in (("phi", 0, self.phi, phi), ("beta", 1, self.beta, beta)):
+            for (j, i), v in np.ndenumerate(vals):
+                if not fields[j][i].identically_zero and abs(v) < 1e-12:
+                    raise NonzeroConditionError(f"{name}[{j + first}][{i}] vanished at the current state")
         return phi, beta
-
-    def check_nonzero(self, state: MultiCurveState) -> None:
-        for j, row in enumerate(self.phi):
-            for i, f in enumerate(row):
-                if not f.identically_zero and abs(f(state)) < 1e-12:
-                    raise NonzeroConditionError(f"phi[{j}][{i}] vanished at the current state")
-        for j, row in enumerate(self.beta):
-            for i, f in enumerate(row):
-                if not f.identically_zero and abs(f(state)) < 1e-12:
-                    raise NonzeroConditionError(f"beta[{j + 1}][{i}] vanished at the current state")
 
 
 VolSpec = Union[ConstantVolSpec, ConstantDirectionVolSpec]
@@ -321,19 +256,11 @@ def hull_white_three_curve_spec(sigmas: Sequence[float], rates: Sequence[float],
 class Drift:
     """Curve drifts (as curves) and log-spread drifts (scalars)."""
 
-    curves: tuple[ForwardCurve, ...]
+    curves: tuple[AnalyticCurve, ...]
     spreads: np.ndarray
 
     def curve_values(self, grid: np.ndarray) -> np.ndarray:
         return np.stack([c.value(grid) for c in self.curves])
-
-
-def _transport_term(curve: ForwardCurve) -> ForwardCurve:
-    """F r as a curve: exact for analytic, central differences for sampled."""
-    if isinstance(curve, AnalyticCurve):
-        return AnalyticCurve(qe.derive(curve.func))
-    deriv = np.gradient(curve.values, curve.grid)
-    return SampledCurve(curve.grid, deriv)
 
 
 def sigma_fields(spec: VolSpec, state: MultiCurveState):
@@ -345,16 +272,23 @@ def sigma_fields(spec: VolSpec, state: MultiCurveState):
     return sig, beta
 
 
-def ito_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
-    """Risk-neutral Ito drift of (r^0..r^m, Y^1..Y^m)."""
+def _drift_loadings(state: MultiCurveState, spec: VolSpec):
+    """Check that the drift is defined at the state and return the spec's
+    (phi, beta) there, or None for constant volatilities."""
     if state.m != spec.m:
         raise ValueError("state and volatility spec disagree on the number of tenors")
+    if not all(isinstance(c, AnalyticCurve) for c in state.curves):
+        raise TypeError("vector-field calculus requires analytic curve states")
+    return None if isinstance(spec, ConstantVolSpec) else spec.loadings(state)
+
+
+def _ito_drift(state: MultiCurveState, spec: VolSpec, loadings) -> Drift:
     m = state.m
-    if isinstance(spec, ConstantVolSpec):
+    if loadings is None:
         beta = spec.beta
         vol = [spec.vol_drift(j) for j in range(m + 1)]
     else:
-        phi, beta = spec.loadings(state)
+        phi, beta = loadings
         vol = []
         for j in range(m + 1):
             acc = qe.QEFunction(())
@@ -365,7 +299,7 @@ def ito_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
                 if j >= 1:
                     acc = acc + spec.lam[j][i] * (-(beta[j - 1, i] * p))
             vol.append(acc)
-    curves_out = [_transport_term(c).plus(v) for c, v in zip(state.curves, vol)]
+    curves_out = [AnalyticCurve(qe.derive(c.func) + v) for c, v in zip(state.curves, vol)]
     r0_short = state.curves[0].value(0.0)
     spread_out = np.array(
         [
@@ -376,54 +310,40 @@ def ito_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
     return Drift(tuple(curves_out), spread_out)
 
 
+def ito_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
+    """Risk-neutral Ito drift of (r^0..r^m, Y^1..Y^m) at an analytic state."""
+    return _ito_drift(state, spec, _drift_loadings(state, spec))
+
+
 def stratonovich_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
     """Ito drift minus the 1/2 (d sigma_hat) sigma_hat correction.
 
-    For constant volatilities the correction vanishes and this equals
-    ``ito_drift`` exactly.
+    A loading f = c + s Y^k changes along the i-th diffusion field at the
+    rate (d f)[sigma_hat_i] = s beta^k_i, so the correction is exact.  For
+    constant volatilities it vanishes and this equals ``ito_drift`` exactly.
     """
-    base = ito_drift(state, spec)
-    if isinstance(spec, ConstantVolSpec):
+    loadings = _drift_loadings(state, spec)
+    base = _ito_drift(state, spec, loadings)
+    if loadings is None:
         return base
-    m, d = spec.m, spec.d
-    step = _FD_SCALE * (1.0 + state_sup_norm(state))
-    phi_val, beta_val = spec.loadings(state)
+    _, beta_val = loadings
 
-    def dfield(f: ScalarField, i: int) -> float:
-        """(d f)[sigma_hat_i] — derivative of f along the i-th diffusion field."""
-        out = 0.0
-        for h in range(m + 1):
-            if not spec.lam[h][i].is_zero and phi_val[h, i] != 0.0:
-                der = f.d_curve(state, h, spec.lam[h][i], step)
-                if der != 0.0:
-                    out += der * phi_val[h, i]
-        for h in range(1, m + 1):
-            b = beta_val[h - 1, i]
-            if b != 0.0:
-                out += f.d_log_spread(state, h, step) * b
-        return out
+    def half_dfield(f: ScalarField, i: int) -> float:
+        """1/2 (d f)[sigma_hat_i]; 0 for a constant field."""
+        return 0.5 * (f.slope * beta_val[f.spread_index - 1, i]) if f.slope else 0.0
 
     curves_out = []
-    for j in range(m + 1):
+    for j, c in enumerate(base.curves):
+        # the beta.sigma part of the full correction already sits in the Ito
+        # drift; only the d(phi) half remains to subtract here
         corr = qe.QEFunction(())
-        for i in range(d):
-            f = spec.phi[j][i]
-            if spec.lam[j][i].is_zero or f.identically_zero:
-                continue
-            # the beta.sigma part of the full kappa already sits in the Ito
-            # drift; only the d(phi) half remains to subtract here
-            kappa = 0.5 * dfield(f, i)
-            corr = corr + spec.lam[j][i] * (-kappa)
-        curves_out.append(base.curves[j].plus(corr))
-    spreads_out = np.array(base.spreads)
-    for j in range(1, m + 1):
-        corr = 0.0
-        for i in range(d):
-            f = spec.beta[j - 1][i]
-            if f.identically_zero:
-                continue
-            corr += 0.5 * dfield(f, i)
-        spreads_out[j - 1] -= corr
+        for i, (lam, f) in enumerate(zip(spec.lam[j], spec.phi[j])):
+            if f.slope and not lam.is_zero:
+                corr = corr + lam * (-half_dfield(f, i))
+        curves_out.append(AnalyticCurve(c.func + corr))
+    spreads_out = base.spreads - np.array(
+        [sum(half_dfield(f, i) for i, f in enumerate(row)) for row in spec.beta]
+    )
     return Drift(tuple(curves_out), spreads_out)
 
 
@@ -579,23 +499,10 @@ def simulate_hjm(
         """phi (n_paths, m+1, d) and beta (n_paths, m, d) at the current states."""
         phi = np.empty((n_paths, m + 1, d))
         bet = np.empty((n_paths, m, d))
-        custom_states = None
         for fields, vals in ((spec.phi, phi), (spec.beta, bet)):
             for j, row in enumerate(fields):
                 for i, f in enumerate(row):
-                    if f.kind == "constant":
-                        vals[:, j, i] = f.const
-                    elif f.kind == "affine":
-                        vals[:, j, i] = f.const + f.slope * Y[:, f.spread_index - 1]
-                    else:
-                        if custom_states is None:
-                            custom_states = [
-                                MultiCurveState(
-                                    tuple(SampledCurve(grid, R[p, jj]) for jj in range(m + 1)), Y[p]
-                                )
-                                for p in range(n_paths)
-                            ]
-                        vals[:, j, i] = [f(s) for s in custom_states]
+                    vals[:, j, i] = f(Y)
         return phi, bet
 
     out = HJMPaths(grid, m, rec, [], [], [])

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import qe
 from .curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState
-from .dynamics import ConstantVolSpec, VolSpec, sigma_fields, single_factor_spec, stratonovich_drift
+from .dynamics import VolSpec, sigma_fields, single_factor_spec, stratonovich_drift
 from .fdr import FDRRealization
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "TangencyReport",
     "tangency_residual",
     "HullWhiteStackParams",
-    "single_factor_stack_spec",
     "spread_volatility_relation",
     "build_modified_ns_family",
     "nelson_siegel_family",
@@ -128,12 +127,7 @@ def model_fields(spec: VolSpec) -> tuple[VectorField, tuple[VectorField, ...]]:
 
     def mu(state: MultiCurveState) -> TangentVector:
         drift = stratonovich_drift(state, spec)
-        funcs = []
-        for c in drift.curves:
-            if not isinstance(c, AnalyticCurve):
-                raise TypeError("vector-field calculus requires analytic curve states")
-            funcs.append(c.func)
-        return TangentVector(tuple(funcs), drift.spreads)
+        return TangentVector(tuple(c.func for c in drift.curves), drift.spreads)
 
     def diffusion(i: int) -> VectorField:
         def sig_i(state: MultiCurveState) -> TangentVector:
@@ -307,15 +301,13 @@ class ParamFamily:
     """Parameterized family z -> (m+1 forward curves, m log-spreads).
 
     ``curve_map`` returns the curves as QE functions so drifts of embedded
-    states stay exact; ``jacobian`` may supply the analytic derivative of
-    the discretized map and is used instead of finite differences when set.
+    states stay exact.
     """
 
     param_dim: int
     m: int
     curve_map: Callable[[np.ndarray], tuple[qe.QEFunction, ...]]
     spread_map: Callable[[np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = ""
 
     def embed(self, z: np.ndarray) -> MultiCurveState:
@@ -337,12 +329,10 @@ class ParamFamily:
 def family_jacobian(
     family: ParamFamily, z: np.ndarray, grid: np.ndarray, fd_scale: float = 1e-6
 ) -> np.ndarray:
-    """d(discretized G)/dz, by central differences unless the family carries
-    its own jacobian.  Step 'fd_scale * (1 + |z_k|)' per coordinate."""
+    """d(discretized G)/dz by central differences, step
+    'fd_scale * (1 + |z_k|)' per coordinate."""
     z = np.asarray(z, dtype=float)
     g = np.asarray(grid, dtype=float)
-    if family.jacobian is not None:
-        return np.asarray(family.jacobian(z, g), dtype=float)
     cols = []
     for k in range(family.param_dim):
         h = fd_scale * (1.0 + abs(z[k]))
@@ -454,11 +444,6 @@ class HullWhiteStackParams:
     @property
     def m(self) -> int:
         return len(self.a) - 1
-
-
-def single_factor_stack_spec(params: HullWhiteStackParams) -> ConstantVolSpec:
-    """The d=1 constant-volatility model with curve rows sigma^j e^{-a^j x}."""
-    return single_factor_spec(params.sigma, params.a, params.beta)
 
 
 def spread_volatility_relation(params: HullWhiteStackParams) -> tuple[float, ...]:
@@ -613,7 +598,8 @@ def verify_strategy2_consistency(
     def run(bet: tuple[float, ...]) -> TangencyReport:
         p = HullWhiteStackParams(base.sigma, base.a, bet)
         family = build_modified_ns_family(p, strategy=2)
-        return tangency_residual(family, single_factor_stack_spec(p), point, grid, threshold=tolerance)
+        spec = single_factor_spec(p.sigma, p.a, p.beta)
+        return tangency_residual(family, spec, point, grid, threshold=tolerance)
 
     main = run(beta)
     control = run(tuple(1.1 * b for b in beta)) if m else None

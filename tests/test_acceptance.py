@@ -142,7 +142,8 @@ def test_a5_consistency_verdicts():
 
     fam1 = geo.build_modified_ns_family(stack, strategy=1)
     z1 = np.concatenate([np.tile((0.02, -0.015, 0.004, 0.002), 3), [0.0035, 0.0070]])
-    rep1 = geo.tangency_residual(fam1, geo.single_factor_stack_spec(stack), z1)
+    spec1 = dynamics.single_factor_spec(stack.sigma, stack.a, stack.beta)
+    rep1 = geo.tangency_residual(fam1, spec1, z1)
     assert rep1.verdict == "consistent"
     assert rep1.drift_residual < 1e-6
     assert all(r < 1e-6 for r in rep1.diffusion_residuals)
@@ -160,7 +161,7 @@ def test_a5_consistency_verdicts():
     single = geo.HullWhiteStackParams(sigma=(0.1643,), a=(0.3719,))
     rep3 = geo.tangency_residual(
         geo.nelson_siegel_family(single.a),
-        geo.single_factor_stack_spec(single),
+        dynamics.single_factor_spec(single.sigma, single.a, single.beta),
         np.array([0.02, -0.015, 0.004]),
     )
     assert rep3.verdict == "inconsistent"

@@ -93,9 +93,9 @@ def test_stratonovich_equals_ito_for_constant_vol():
     np.testing.assert_array_equal(a.spreads, b.spreads)
 
 
-def test_constant_loadings_match_constant_vol_spec():
-    # phi = 0.7 and constant beta: sigma = 0.7 lambda is a constant-vol model,
-    # so phi^2 D - beta phi lambda must equal sigma H sigma - beta sigma.
+def _constant_loading_specs():
+    """A constant-direction spec with phi = 0.7 and constant beta, and the
+    constant-vol spec with sigma = 0.7 lambda that it equals."""
     zero = qe.QEFunction(())
     lam = (
         (qe.exponential(0.10, -0.5), qe.exponential(0.03, -1.2)),
@@ -109,6 +109,13 @@ def test_constant_loadings_match_constant_vol_spec():
         tuple(tuple(ScalarField.constant(b) for b in row) for row in betas),
     )
     cv = ConstantVolSpec(tuple(tuple(f * 0.7 for f in row) for row in lam), np.array(betas))
+    return cdv, cv
+
+
+def test_constant_loadings_match_constant_vol_spec():
+    # phi = 0.7 and constant beta: sigma = 0.7 lambda is a constant-vol model,
+    # so phi^2 D - beta phi lambda must equal sigma H sigma - beta sigma.
+    cdv, cv = _constant_loading_specs()
     state = ns_state()
     for drift in (ito_drift, stratonovich_drift):
         got, want = drift(state, cdv), drift(state, cv)
@@ -176,31 +183,34 @@ def test_cdv_stratonovich_spread_correction_hand_expansion():
         np.testing.assert_allclose(strat.curves[j].value(xs), ito.curves[j].value(xs), atol=1e-15)
 
 
-def test_custom_field_fd_matches_affine_exact():
-    # same spec twice: affine loadings vs equivalent custom callables
-    spec_affine = _cdv_example_spec()
-    zero = qe.QEFunction(())
-    lam = spec_affine.lam
-    one = ScalarField.constant(1.0)
-    nil = ScalarField.constant(0.0)
-    phi = ((one, nil, nil), (nil, one, nil), (nil, nil, one))
-    beta_custom = (
-        (
-            ScalarField.constant(0.2),
-            ScalarField.custom(lambda s: 0.3 * float(s.log_spreads[0])),
-            nil,
-        ),
-        (
-            ScalarField.constant(0.15),
-            nil,
-            ScalarField.custom(lambda s: 0.25 * float(s.log_spreads[1])),
-        ),
+def test_drifts_need_analytic_curves():
+    grid = np.linspace(0.0, 10.0, 21)
+    sampled = MultiCurveState(
+        tuple(SampledCurve(grid, np.full(21, r)) for r in (0.02, 0.025, 0.03)),
+        np.array([0.002, 0.004]),
     )
-    spec_custom = ConstantDirectionVolSpec(lam, phi, beta_custom)
-    state = ns_state()
-    a = stratonovich_drift(state, spec_affine)
-    b = stratonovich_drift(state, spec_custom)
-    np.testing.assert_allclose(a.spreads, b.spreads, rtol=1e-7, atol=1e-10)
+    for spec in (hull_white_three_curve_spec(**THETA0), _cdv_example_spec()):
+        for drift in (ito_drift, stratonovich_drift):
+            with pytest.raises(TypeError):
+                drift(sampled, spec)
+
+
+def test_one_curve_constant_direction_spec():
+    # m = 0: constant loadings must not read the (empty) log-spreads
+    lam = qe.exponential(0.02, -0.5)
+    cdv = ConstantDirectionVolSpec(((lam,),), ((ScalarField.constant(0.7),),), ())
+    cv = ConstantVolSpec(((lam * 0.7,),), np.zeros((0, 1)))
+    curve = AnalyticCurve(qe.nelson_siegel(0.02, -0.008, 0.003, 0.45))
+    state = MultiCurveState((curve,), np.zeros(0))
+    for drift in (ito_drift, stratonovich_drift):
+        got, want = drift(state, cdv), drift(state, cv)
+        got_x, want_x = got.curve_values(DEFAULT_GRID), want.curve_values(DEFAULT_GRID)
+        assert np.max(np.abs(got_x - want_x)) <= 1e-14 * np.max(np.abs(want_x))
+        assert got.spreads.shape == (0,)
+    cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=5, seed=3, grid=np.linspace(0.0, 4.0, 41))
+    got, want = simulate_hjm(state, cdv, cfg), simulate_hjm(state, cv, cfg)
+    np.testing.assert_allclose(got.curves[-1], want.curves[-1], rtol=1e-14, atol=0.0)
+    assert got.log_spreads[-1].shape == (5, 0)
 
 
 def test_nonzero_condition_raises_on_vanishing_loading():
@@ -225,6 +235,34 @@ def test_simulation_is_deterministic_under_seed():
     np.testing.assert_array_equal(a.curves[-1], b.curves[-1])
     np.testing.assert_array_equal(a.log_spreads[-1], b.log_spreads[-1])
     np.testing.assert_array_equal(a.bank[-1], b.bank[-1])
+
+
+def test_constant_loadings_simulate_like_constant_vol_spec():
+    # the constant-direction Euler branch against the constant-vol one
+    cdv, cv = _constant_loading_specs()
+    state = ns_state()
+    cfg = SimConfig(dt=0.01, horizon=0.2, n_paths=50, seed=5, grid=np.linspace(0.0, 5.0, 51))
+    got, want = simulate_hjm(state, cdv, cfg), simulate_hjm(state, cv, cfg)
+    for g, w in ((got.curves, want.curves), (got.log_spreads, want.log_spreads),
+                 (got.bank, want.bank)):
+        assert np.max(np.abs(g[-1] - w[-1])) <= 1e-14 * np.max(np.abs(w[-1]))
+
+
+def test_affine_spread_loading_euler_step():
+    # one step: dY^j = dt (r^0(0) - r^j(0) - |beta^j(Y)|^2 / 2) + beta^j(Y) . dW
+    spec = _cdv_example_spec()
+    state = ns_state()
+    dt = 0.01
+    cfg = SimConfig(dt=dt, horizon=dt, n_paths=4, seed=0, grid=np.linspace(0.0, 4.0, 41))
+    dW = np.random.default_rng(8).normal(0.0, math.sqrt(dt), size=(4, 1, 3))
+    paths = simulate_hjm(state, spec, cfg, increments=dW)
+    y1, y2 = state.log_spreads
+    beta = np.array([[0.2, 0.3 * y1, 0.0], [0.15, 0.0, 0.25 * y2]])
+    r0 = state.curves[0].value(0.0)
+    short = np.array([state.curves[j].value(0.0) for j in (1, 2)])
+    want = dt * (r0 - short - 0.5 * np.sum(beta**2, axis=1)) + dW[:, 0, :] @ beta.T
+    got = paths.log_spreads[-1] - state.log_spreads
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_zero_volatility_transport():

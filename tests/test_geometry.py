@@ -1,6 +1,5 @@
 """Brackets, span estimates, commutation checks, and family tangency."""
 
-import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +15,7 @@ from mchjm.dynamics import (
     ConstantVolSpec,
     ScalarField,
     hull_white_three_curve_spec,
+    single_factor_spec,
 )
 
 SIG = (0.00285941, 0.09546952, 0.09083773)
@@ -283,14 +283,6 @@ def test_family_values_match_embed():
         fam.values(z[:-1], grid)
 
 
-def test_family_jacobian_prefers_analytic_when_given():
-    fam = geo.nelson_siegel_family((0.5,))
-    marker = np.arange(12.0).reshape(4, 3)
-    with_jac = dataclasses.replace(fam, jacobian=lambda z, g: marker)
-    out = geo.family_jacobian(with_jac, np.zeros(3), np.linspace(0.0, 1.0, 3))
-    np.testing.assert_array_equal(out, marker)
-
-
 def test_generated_directions_fit_exactly():
     # anything of the form (family jacobian) @ c lies in the fitted subspace
     fam = geo.build_modified_ns_family(STACK, strategy=1)
@@ -311,7 +303,7 @@ def test_generated_directions_fit_exactly():
 
 def test_strategy1_family_is_consistent():
     fam = geo.build_modified_ns_family(STACK, strategy=1)
-    spec = geo.single_factor_stack_spec(STACK)
+    spec = single_factor_spec(STACK.sigma, STACK.a, STACK.beta)
     z = np.concatenate([np.tile((0.02, -0.015, 0.004, 0.002), 3), [0.0035, 0.0070]])
     report = geo.tangency_residual(fam, spec, z)
     assert report.verdict == "consistent"
@@ -322,9 +314,8 @@ def test_strategy1_family_is_consistent():
 def test_plain_ns_inconsistent_under_single_curve_hw():
     single = geo.HullWhiteStackParams(sigma=(0.1643,), a=(0.3719,))
     fam = geo.nelson_siegel_family(single.a)
-    report = geo.tangency_residual(
-        fam, geo.single_factor_stack_spec(single), np.array([0.02, -0.015, 0.004])
-    )
+    spec = single_factor_spec(single.sigma, single.a, single.beta)
+    report = geo.tangency_residual(fam, spec, np.array([0.02, -0.015, 0.004]))
     assert report.verdict == "inconsistent"
     assert report.drift_residual > 1e-2
     # the volatility itself is representable; only the squared-vol drift is not
@@ -347,9 +338,9 @@ def test_rank_deficient_family_raises():
         curve_map=lambda z: (qe.constant(z[0] + z[1]),),
         spread_map=lambda z: np.zeros(0),
     )
-    single = geo.HullWhiteStackParams(sigma=(0.1,), a=(0.4,))
+    spec = single_factor_spec((0.1,), (0.4,), ())
     with pytest.raises(geo.ImmersionError):
-        geo.tangency_residual(fam, geo.single_factor_stack_spec(single), np.array([0.01, 0.01]))
+        geo.tangency_residual(fam, spec, np.array([0.01, 0.01]))
 
 
 def test_realization_manifold_is_invariant():
@@ -401,8 +392,9 @@ def test_stack_params_validation():
         geo.HullWhiteStackParams(sigma=(0.1,), a=(-0.4,))
     with pytest.raises(ValueError):
         geo.HullWhiteStackParams(sigma=(0.1, 0.2), a=(0.4, 0.5), beta=(0.1, 0.2))
+    no_beta = geo.HullWhiteStackParams(sigma=(0.1, 0.2), a=(0.4, 0.5))
     with pytest.raises(ValueError):
-        geo.single_factor_stack_spec(geo.HullWhiteStackParams(sigma=(0.1, 0.2), a=(0.4, 0.5)))
+        single_factor_spec(no_beta.sigma, no_beta.a, no_beta.beta)
 
 
 @settings(max_examples=15, deadline=None)
@@ -414,7 +406,7 @@ def test_stack_params_validation():
 def test_strategy1_consistent_for_any_positive_parameters(sigmas, decays, betas):
     params = geo.HullWhiteStackParams(sigmas, decays, betas)
     fam = geo.build_modified_ns_family(params, strategy=1)
-    spec = geo.single_factor_stack_spec(params)
+    spec = single_factor_spec(params.sigma, params.a, params.beta)
     z = np.concatenate([np.tile((0.02, -0.015, 0.004, 0.002), 3), [0.0035, 0.0070]])
     report = geo.tangency_residual(fam, spec, z)
     assert report.verdict == "consistent"

@@ -30,7 +30,9 @@ are defined on analytic states only; a sampled curve raises ``TypeError``.
 
 ``simulate_hjm`` is an Euler-Maruyama scheme on a uniform maturity grid with
 *upwind* differencing for the transport term F r (flat beyond the far grid
-end, so the derivative there is 0).
+end, so the derivative there is 0).  It steps the paths in blocks whose
+curve state fits in a core's L2 cache, one block through all its steps
+before the next; a path's arithmetic does not depend on its block.
 """
 
 from __future__ import annotations
@@ -192,6 +194,12 @@ class ConstantDirectionVolSpec:
             raise ValueError("lam and phi must both be (m+1) x d")
         if len(beta) != m or any(len(r) != d for r in beta):
             raise ValueError(f"beta must be m x d = {m} x {d}")
+        for name, first, fields in (("phi", 0, phi), ("beta", 1, beta)):
+            for j, row in enumerate(fields):
+                for i, f in enumerate(row):
+                    if f.slope and not 1 <= f.spread_index <= m:
+                        raise ValueError(f"{name}[{j + first}][{i}] reads log-spread "
+                                         f"{f.spread_index}, but the spec has m = {m}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "beta", beta)
@@ -438,11 +446,14 @@ class HJMPaths:
         return self.curves[k], self.log_spreads[k], self.bank[k]
 
 
-def _upwind(R: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(R)
-    out[..., :-1] = (R[..., 1:] - R[..., :-1]) / dx
-    out[..., -1] = 0.0  # flat extrapolation beyond the far end
-    return out
+# Curve state held by one block of paths in ``simulate_hjm``: small enough
+# that the block and its step buffers stay in a core's L2 cache for all of
+# its steps (256 KiB to 1 MiB ran equally fast on a 2 MiB L2).
+_BLOCK_BYTES = 512 * 1024
+
+
+def _paths_per_block(m: int, nx: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * (m + 1) * nx))
 
 
 def simulate_hjm(
@@ -460,6 +471,13 @@ def simulate_hjm(
     to couple the two.  ``drift_shift`` adds a constant to every *curve*
     drift; it exists to corrupt the risk-neutral drift in martingale
     diagnostics.
+
+    Paths are independent, so they are stepped block by block: each block
+    of about ``_BLOCK_BYTES`` of curve state runs all its steps in buffers
+    allocated once, then its recorded snapshots are copied out.  Every
+    path sees the same arithmetic whatever block it falls in.  A non-finite
+    state raises ``NumericalError`` naming the earliest failing step over
+    all paths.
     """
     m, d = spec.m, spec.d
     if initial.m != m:
@@ -471,12 +489,10 @@ def simulate_hjm(
 
     increments = cfg.brownian_increments(d, increments)
     rec, rec_steps = cfg.record_steps(record_times)
+    rec_at = {s: k for k, s in enumerate(rec_steps)}
 
-    R = np.broadcast_to(
-        np.stack([c.value(grid) for c in initial.curves]), (n_paths, m + 1, nx)
-    ).copy()
-    Y = np.broadcast_to(np.array(initial.log_spreads), (n_paths, m)).copy()
-    bank = np.zeros(n_paths)
+    R_init = np.stack([c.value(grid) for c in initial.curves])
+    Y_init = np.array(initial.log_spreads)
 
     const_vol = isinstance(spec, ConstantVolSpec)
     if const_vol:
@@ -495,56 +511,90 @@ def simulate_hjm(
                 lam_arr[j, i] = qe.evaluate(spec.lam[j][i], grid)
                 D_arr[j, i] = qe.evaluate(spec.D(j, i), grid)
 
-    def cdv_loadings():
-        """phi (n_paths, m+1, d) and beta (n_paths, m, d) at the current states."""
-        phi = np.empty((n_paths, m + 1, d))
-        bet = np.empty((n_paths, m, d))
+    def cdv_loadings(Y):
+        """phi (P, m+1, d) and beta (P, m, d) at the log-spreads Y (P, m)."""
+        phi = np.empty((Y.shape[0], m + 1, d))
+        bet = np.empty((Y.shape[0], m, d))
         for fields, vals in ((spec.phi, phi), (spec.beta, bet)):
             for j, row in enumerate(fields):
                 for i, f in enumerate(row):
                     vals[:, j, i] = f(Y)
         return phi, bet
 
-    out = HJMPaths(grid, m, rec, [], [], [])
+    out = HJMPaths(grid, m, rec,
+                   [np.empty((n_paths, m + 1, nx)) for _ in rec],
+                   [np.empty((n_paths, m)) for _ in rec],
+                   [np.empty(n_paths) for _ in rec])
 
-    def record():
-        out.curves.append(R.copy())
-        out.log_spreads.append(Y.copy())
-        out.bank.append(bank.copy())
+    def record(k, start, R, Y, bank):
+        stop = start + R.shape[0]
+        out.curves[k][start:stop] = R
+        out.log_spreads[k][start:stop] = Y
+        out.bank[k][start:stop] = bank
 
-    next_rec = 0
-    if rec_steps and rec_steps[0] == 0:
-        record()
-        next_rec = 1
+    # Buffers for one block, allocated once; a shorter last block uses their
+    # leading rows, which are contiguous too.
+    block = _paths_per_block(m, nx)
+    R_buf = np.empty((block, m + 1, nx))
+    A_buf = np.empty_like(R_buf)  # drift, then the whole curve increment
+    E_buf = np.empty_like(R_buf)  # einsum results
+    E1_buf = np.empty((block, m, nx))
+    Y_buf = np.empty((block, m))
+    bank_buf = np.empty(block)
+    r0_buf = np.empty(block)
 
-    for step in range(n_steps):
-        dW = increments[:, step, :]  # (n_paths, d)
-        r0_old = R[:, 0, 0].copy()
-        Fr = _upwind(R, dx)
-        if const_vol:
-            alpha = Fr + vol_drift[None, :, :] + drift_shift
-            dY = dt * (
-                R[:, 0, 0][:, None] - R[:, 1:, 0] - half_beta_sq[None, :]
-            ) + dW @ beta_arr.T
-            R += dt * alpha + np.einsum("pi,jix->pjx", dW, sig_arr)
+    failed = None  # earliest step at which some path went non-finite
+    last = n_steps  # steps the next block runs: none at or after `failed`
+    for start in range(0, n_paths, block):
+        stop = min(start + block, n_paths)
+        P = stop - start
+        R, A, E, E1 = R_buf[:P], A_buf[:P], E_buf[:P], E1_buf[:P]
+        Y, bank, r0_old = Y_buf[:P], bank_buf[:P], r0_buf[:P]
+        R_flat, A_flat = R.reshape(-1), A.reshape(-1)
+        R[:] = R_init
+        Y[:] = Y_init
+        bank[:] = 0.0
+        if 0 in rec_at:
+            record(rec_at[0], start, R, Y, bank)
+        for step in range(last):
+            dW = increments[start:stop, step, :]  # (P, d)
+            r0_old[:] = R[:, 0, 0]
+            # Upwind F r over the flat block; the differences that straddle
+            # two curves land on the far node, which is flat (derivative 0).
+            np.subtract(R_flat[1:], R_flat[:-1], out=A_flat[:-1])
+            A[..., -1] = 0.0
+            np.divide(A, dx, out=A)
+            if const_vol:
+                np.add(A, vol_drift, out=A)
+                np.add(A, drift_shift, out=A)
+                dY = dt * (
+                    R[:, 0, 0][:, None] - R[:, 1:, 0] - half_beta_sq[None, :]
+                ) + dW @ beta_arr.T
+                np.einsum("pi,jix->pjx", dW, sig_arr, out=E)
+            else:
+                phi, bet = cdv_loadings(Y)
+                np.add(A, np.einsum("pji,jix->pjx", phi**2, D_arr, out=E), out=A)
+                np.add(A, drift_shift, out=A)
+                np.einsum("pji,pji,jix->pjx", bet, phi[:, 1:, :], lam_arr[1:], out=E1)
+                np.subtract(A[:, 1:, :], E1, out=A[:, 1:, :])
+                dY = dt * (
+                    R[:, :1, 0] - R[:, 1:, 0] - 0.5 * np.sum(bet**2, axis=2)
+                ) + np.einsum("pji,pi->pj", bet, dW)
+                np.einsum("pji,jix,pi->pjx", phi, lam_arr, dW, out=E)
+            np.multiply(dt, A, out=A)
+            np.add(A, E, out=A)
+            np.add(R, A, out=R)
             Y += dY
-        else:
-            phi, bet = cdv_loadings()
-            alpha = Fr + np.einsum("pji,jix->pjx", phi**2, D_arr) + drift_shift
-            alpha[:, 1:, :] -= np.einsum("pji,pji,jix->pjx", bet, phi[:, 1:, :], lam_arr[1:])
-            dY = dt * (
-                R[:, :1, 0] - R[:, 1:, 0] - 0.5 * np.sum(bet**2, axis=2)
-            ) + np.einsum("pji,pi->pj", bet, dW)
-            R += dt * alpha + np.einsum("pji,jix,pi->pjx", phi, lam_arr, dW)
-            Y += dY
-        bank += 0.5 * (r0_old + R[:, 0, 0]) * dt
-        if not np.all(np.isfinite(R[:, :, 0])):
-            raise NumericalError(f"non-finite state at step {step + 1}")
-        if next_rec < len(rec_steps) and rec_steps[next_rec] == step + 1:
-            if not (np.all(np.isfinite(R)) and np.all(np.isfinite(Y))):
-                raise NumericalError(f"non-finite state at step {step + 1}")
-            record()
-            next_rec += 1
+            bank += 0.5 * (r0_old + R[:, 0, 0]) * dt
+            recorded = step + 1 in rec_at
+            if not np.all(np.isfinite(R[:, :, 0])) or (
+                    recorded and not (np.all(np.isfinite(R)) and np.all(np.isfinite(Y)))):
+                failed, last = step + 1, step
+                break
+            if recorded:
+                record(rec_at[step + 1], start, R, Y, bank)
+    if failed is not None:
+        raise NumericalError(f"non-finite state at step {failed}")
     return out
 
 

@@ -15,15 +15,17 @@ process ``Z`` in R^n together with an embedding ``G`` such that
   log-spreads as affine maps of its factor block and curve level, the
   closed form that calibration and data synthesis evaluate;
 * :func:`simulate_state` — a Heun (Stratonovich) integrator for the state
-  process, couplable to :func:`~mchjm.dynamics.simulate_hjm` through shared
-  Brownian increments;
+  process that steps all paths as one batch, couplable to
+  :func:`~mchjm.dynamics.simulate_hjm` through shared Brownian increments;
 * benchmark coordinates: observable linear functionals (forward rates at
   fixed maturities plus log-spreads) used as an alternative state vector,
   with the associated Jacobian test and Newton inversion.
 
 Conventions.  State component 0 is the running-time coordinate (unit
 drift); the embedding composes a time shift of the initial curves with the
-volatility-generated directions.  All drifts here are Stratonovich.
+volatility-generated directions.  All drifts here are Stratonovich.  The
+drift and diffusion fields of every builder take a batch of states
+``(..., n)``, and each state in a batch gets the values it gets alone.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ __all__ = [
 class FDRRealization:
     """An n-dimensional realization ``dZ = a(Z) dt + b(Z) ∘ dW``.
 
+    ``drift(z)`` maps states ``(..., n)`` to drifts ``(..., n)``, and
+    ``diffusion(z)`` to ``(..., n, d)`` matrices; a diffusion that does not
+    depend on the state may return one ``(n, d)`` matrix for any batch.
     ``embed_curves(z)`` returns the m+1 forward curves as quasi-exponential
     functions (so downstream consumers can differentiate and integrate them
     exactly); ``embed_spreads(z)`` the m log-spreads.  ``initial_state`` is
@@ -224,13 +229,14 @@ def build_constant_vol_fdr(initial: MultiCurveState, spec: ConstantVolSpec) -> F
     alphas = [a.coeffs[:-1] if a is not None else () for a in ann]
 
     def drift(z: np.ndarray) -> np.ndarray:
-        a = np.zeros(n)
-        a[0] = 1.0
+        a = np.zeros(np.shape(z))
+        zt, at = z.T, a.T  # coordinate k: a scalar for one state, a row for a batch
+        at[0] = 1.0
         for i in range(d):
             off = offsets[i]
-            top = z[off + n_i[i]]
+            top = zt[off + n_i[i]]
             for k in range(1, n_i[i] + 1):
-                a[off + k] = z[off + k - 1] - alphas[i][k - 1] * top
+                at[off + k] = zt[off + k - 1] - alphas[i][k - 1] * top
         return a
 
     b_mat = np.zeros((n, d))
@@ -416,13 +422,14 @@ def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence
         return ym + Wz @ z[1:] + Wy @ y + c
 
     def drift(z: np.ndarray) -> np.ndarray:
-        return np.array([
-            1.0,
-            0.0,
-            z[1] - e3 * z[4],
-            z[2] - e2 * z[4],
-            z[3] - e1 * z[4],
-        ])
+        out = np.empty(np.shape(z))
+        zt, ot = z.T, out.T  # coordinate k: a scalar for one state, a row for a batch
+        ot[0] = 1.0
+        ot[1] = 0.0
+        ot[2] = zt[1] - e3 * zt[4]
+        ot[3] = zt[2] - e2 * zt[4]
+        ot[4] = zt[3] - e1 * zt[4]
+        return out
 
     b_mat = np.zeros((5, 1))
     b_mat[1, 0] = 1.0
@@ -514,9 +521,9 @@ def build_cdv_example_fdr(
 
     def spreads(z: np.ndarray) -> np.ndarray:
         """(Y^1, Y^2) along the realization: initial value + time drift + state."""
-        t = np.array([[z[0]]])
+        t = np.reshape(z[..., 0], (-1, 1))
         rows = _spread_level_rows(a, t, _libm_exp(-a * t))
-        return ym + np.dot(rows[0], y) + z[1:3]
+        return ym + np.reshape(rows @ y, np.shape(z)[:-1] + (2,)) + z[..., 1:3]
 
     def embed_curves(z: np.ndarray) -> tuple:
         x0 = float(z[0])
@@ -533,27 +540,29 @@ def build_cdv_example_fdr(
         return tuple(out)
 
     def drift(z: np.ndarray) -> np.ndarray:
-        out = np.zeros(12)
-        out[0] = 1.0
-        short0 = sig[0] * z[3] + sig[0] ** 2 * z[7]  # stochastic part of r^0(0)
-        ys = spreads(z)
+        out = np.zeros(np.shape(z))
+        zt, ot, ys = z.T, out.T, spreads(z).T  # scalars for one state, rows for a batch
+        ot[0] = 1.0
+        short0 = sig[0] * zt[3] + sig[0] ** 2 * zt[7]  # stochastic part of r^0(0)
         for j in (1, 2):
             yj = ys[j - 1]
-            shortj = sig[j] * z[3 + j] + sig[j] ** 2 * z[7 + 2 * j]
-            out[j] = short0 - shortj - 0.5 * bs[j - 1] ** 2 * yj * (yj + 1.0) - 0.5 * bc[j - 1] ** 2
-            out[3 + j] = -a[j] * z[3 + j] - bs[j - 1] * yj
-        out[3] = -a[0] * z[3]
+            shortj = sig[j] * zt[3 + j] + sig[j] ** 2 * zt[7 + 2 * j]
+            ot[j] = short0 - shortj - 0.5 * bs[j - 1] ** 2 * yj * (yj + 1.0) - 0.5 * bc[j - 1] ** 2
+            ot[3 + j] = -a[j] * zt[3 + j] - bs[j - 1] * yj
+        ot[3] = -a[0] * zt[3]
         for j in range(3):
-            out[6 + 2 * j] = 1.0 - 2.0 * a[j] ** 2 * z[7 + 2 * j]
-            out[7 + 2 * j] = z[6 + 2 * j] - 3.0 * a[j] * z[7 + 2 * j]
+            ot[6 + 2 * j] = 1.0 - 2.0 * a[j] ** 2 * zt[7 + 2 * j]
+            ot[7 + 2 * j] = zt[6 + 2 * j] - 3.0 * a[j] * zt[7 + 2 * j]
         return out
 
     def diffusion(z: np.ndarray) -> np.ndarray:
         ys = spreads(z)
-        b = np.zeros((12, 3))
-        b[1] = (bc[0], bs[0] * ys[0], 0.0)
-        b[2] = (bc[1], 0.0, bs[1] * ys[1])
-        b[3, 0] = b[4, 1] = b[5, 2] = 1.0
+        b = np.zeros(np.shape(z) + (3,))
+        b[..., 1, 0] = bc[0]
+        b[..., 1, 1] = bs[0] * ys[..., 0]
+        b[..., 2, 0] = bc[1]
+        b[..., 2, 2] = bs[1] * ys[..., 1]
+        b[..., 3, 0] = b[..., 4, 1] = b[..., 5, 2] = 1.0
         return b
 
     names = ("x0", "s1", "s2", "w0", "w1", "w2",
@@ -585,11 +594,17 @@ class StatePaths:
 
 
 def heun_step(real: FDRRealization, z: np.ndarray, dt: float, dW: np.ndarray) -> np.ndarray:
-    """One Heun predictor-corrector step of ``dZ = a(Z) dt + b(Z) ∘ dW``."""
+    """One Heun predictor-corrector step of ``dZ = a(Z) dt + b(Z) ∘ dW``.
+
+    ``z`` is one state (n,) with ``dW`` (d,), or a batch (P, n) with ``dW``
+    (P, d); each row of a batch steps exactly as it would alone.
+    """
+    dW = np.asarray(dW)[..., None]
     az = real.drift(z)
     bz = real.diffusion(z)
-    z_pred = z + az * dt + bz @ dW
-    return z + 0.5 * dt * (az + real.drift(z_pred)) + 0.5 * ((bz + real.diffusion(z_pred)) @ dW)
+    z_pred = z + az * dt + np.matmul(bz, dW)[..., 0]
+    return (z + 0.5 * dt * (az + real.drift(z_pred))
+            + 0.5 * np.matmul(bz + real.diffusion(z_pred), dW)[..., 0])
 
 
 def simulate_state(
@@ -602,7 +617,9 @@ def simulate_state(
 
     ``increments`` follows the same (n_paths, n_steps, d) convention as the
     curve-level simulator, so passing one array to both couples the
-    realization pathwise to the infinite-dimensional dynamics.
+    realization pathwise to the infinite-dimensional dynamics.  All paths
+    step together as one (n_paths, n) batch; a non-finite state raises
+    ``NumericalError`` naming the earliest failing step over all paths.
     """
     n_steps, n_paths, dt = cfg.n_steps, cfg.n_paths, cfg.dt
     increments = cfg.brownian_increments(real.d, increments)
@@ -610,16 +627,15 @@ def simulate_state(
     by_step = {s: idx for idx, s in enumerate(rec_steps)}
 
     out = np.empty((n_paths, len(rec), real.n))
-    for p in range(n_paths):
-        z = real.initial_state.copy()
-        if 0 in by_step:
-            out[p, by_step[0]] = z
-        for step in range(n_steps):
-            z = heun_step(real, z, dt, increments[p, step])
-            if not np.all(np.isfinite(z)):
-                raise NumericalError(f"non-finite realization state at step {step + 1}")
-            if step + 1 in by_step:
-                out[p, by_step[step + 1]] = z
+    z = np.broadcast_to(real.initial_state, (n_paths, real.n))
+    if 0 in by_step:
+        out[:, by_step[0]] = z
+    for step in range(n_steps):
+        z = heun_step(real, z, dt, increments[:, step])
+        if not np.all(np.isfinite(z)):
+            raise NumericalError(f"non-finite realization state at step {step + 1}")
+        if step + 1 in by_step:
+            out[:, by_step[step + 1]] = z
     return StatePaths(rec, out)
 
 

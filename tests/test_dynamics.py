@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from mchjm import qe
+from mchjm import dynamics, qe
 from mchjm.curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState, SampledCurve
 from mchjm.dynamics import (
     ConstantDirectionVolSpec,
     ConstantVolSpec,
     NonzeroConditionError,
+    NumericalError,
     ScalarField,
     SimConfig,
     grid_integral,
@@ -213,6 +214,17 @@ def test_one_curve_constant_direction_spec():
     assert got.log_spreads[-1].shape == (5, 0)
 
 
+def test_constant_direction_spec_rejects_spread_index_beyond_m():
+    lam = ((qe.exponential(0.01, -0.5),), (qe.exponential(0.012, -0.6),))
+    one = (ScalarField.constant(1.0),)
+    with pytest.raises(ValueError, match=r"beta\[1\]\[0\] reads log-spread 2"):
+        ConstantDirectionVolSpec(lam, (one, one), ((ScalarField.affine_log_spread(0.1, 0.3, 2),),))
+    with pytest.raises(ValueError, match=r"phi\[1\]\[0\] reads log-spread 2"):
+        ConstantDirectionVolSpec(lam, (one, (ScalarField.affine_log_spread(1.0, 0.3, 2),)),
+                                 ((ScalarField.constant(0.2),),))
+    ConstantDirectionVolSpec(lam, (one, one), ((ScalarField.affine_log_spread(0.1, 0.3, 1),),))
+
+
 def test_nonzero_condition_raises_on_vanishing_loading():
     spec = _cdv_example_spec()
     bad = ns_state(spreads=(0.0, 0.004))  # Y^1 = 0 kills the affine loading
@@ -246,6 +258,38 @@ def test_constant_loadings_simulate_like_constant_vol_spec():
     for g, w in ((got.curves, want.curves), (got.log_spreads, want.log_spreads),
                  (got.bank, want.bank)):
         assert np.max(np.abs(g[-1] - w[-1])) <= 1e-14 * np.max(np.abs(w[-1]))
+
+
+@pytest.mark.parametrize("branch", ["constant-vol", "constant-direction"])
+def test_path_blocks_do_not_change_a_path(branch):
+    # paths straddling a block boundary, rerun as one block of their own
+    spec = _constant_loading_specs()[1] if branch == "constant-vol" else _cdv_example_spec()
+    state = ns_state()
+    grid = np.linspace(0.0, 5.5, 221)
+    block = dynamics._paths_per_block(spec.m, grid.size)
+    record = (0.0, 0.03, 0.06)
+    cfg = SimConfig(dt=0.01, horizon=0.06, n_paths=2 * block + 5, seed=12, grid=grid)
+    dW = cfg.brownian_increments(spec.d)
+    whole = simulate_hjm(state, spec, cfg, increments=dW, record_times=record)
+    lo, hi = block - 7, block + 9
+    part_cfg = SimConfig(dt=0.01, horizon=0.06, n_paths=hi - lo, grid=grid)
+    part = simulate_hjm(state, spec, part_cfg, increments=dW[lo:hi], record_times=record)
+    for k in range(len(record)):
+        np.testing.assert_array_equal(part.curves[k], whole.curves[k][lo:hi])
+        np.testing.assert_array_equal(part.log_spreads[k], whole.log_spreads[k][lo:hi])
+        np.testing.assert_array_equal(part.bank[k], whole.bank[k][lo:hi])
+
+
+def test_euler_reports_the_earliest_failing_step_over_all_blocks():
+    spec = hull_white_three_curve_spec(**THETA0)
+    grid = np.linspace(0.0, 5.5, 221)
+    cfg = SimConfig(dt=0.01, horizon=0.05, n_paths=dynamics._paths_per_block(2, grid.size) + 3,
+                    seed=2, grid=grid)
+    dW = cfg.brownian_increments(1).copy()
+    dW[0, 3, 0] = np.inf  # path 0 fails at step 4
+    dW[-1, 1, 0] = np.inf  # a path in the last block fails at step 2
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="at step 2$"):
+        simulate_hjm(ns_state(), spec, cfg, increments=dW)
 
 
 def test_affine_spread_loading_euler_step():

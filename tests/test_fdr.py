@@ -255,6 +255,48 @@ def test_degenerate_direction_fields_couple_to_constant_vol():
     np.testing.assert_allclose(cdv.embed_spreads(z_cdv), cv.embed_spreads(z_cv), atol=2e-9)
 
 
+@pytest.mark.parametrize("builder", ["hw3", "constant-vol", "cdv-example"])
+def test_batched_heun_matches_a_per_path_loop(builder):
+    if builder == "hw3":
+        real = fdr.build_hw3_fdr(THETA0, Y_NS, YM0)
+    elif builder == "constant-vol":
+        real = fdr.build_constant_vol_fdr(hw3_initial(), hw3_spec())
+    else:
+        real = fdr.build_cdv_example_fdr(CDV_SIG, CDV_A, CDV_BC, CDV_BS, Y_NS, YM0)
+    cfg = SimConfig(dt=0.01, horizon=0.2, n_paths=6, seed=4, grid=np.linspace(0, 2, 21))
+    inc = cfg.brownian_increments(real.d)
+    got = fdr.simulate_state(real, cfg, increments=inc, record_times=(0.0, 0.1, 0.2)).states
+    want = np.empty_like(got)
+    for p in range(cfg.n_paths):
+        z = real.initial_state.copy()
+        want[p, 0] = z
+        for step in range(cfg.n_steps):
+            z = fdr.heun_step(real, z, cfg.dt, inc[p, step])
+            if step + 1 == 10:
+                want[p, 1] = z
+        want[p, 2] = z
+    if builder == "cdv-example":
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    else:
+        np.testing.assert_array_equal(got, want)
+    # one state steps as the written-out Heun step with matrix-vector products
+    z, dW = want[0, 1], inc[0, 10]
+    az, bz = real.drift(z), real.diffusion(z)
+    z_pred = z + az * cfg.dt + bz @ dW
+    heun = z + 0.5 * cfg.dt * (az + real.drift(z_pred)) + 0.5 * ((bz + real.diffusion(z_pred)) @ dW)
+    np.testing.assert_array_equal(fdr.heun_step(real, z, cfg.dt, dW), heun)
+
+
+def test_simulate_state_reports_the_earliest_failing_step_over_paths():
+    real = fdr.build_hw3_fdr(THETA0, Y_NS, YM0)
+    cfg = SimConfig(dt=0.01, horizon=0.05, n_paths=3, seed=1, grid=np.linspace(0, 2, 21))
+    inc = cfg.brownian_increments(1).copy()
+    inc[0, 3, 0] = np.inf  # path 0 fails at step 4
+    inc[2, 1, 0] = np.inf  # the last path fails at step 2
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="at step 2$"):
+        fdr.simulate_state(real, cfg, increments=inc)
+
+
 def test_simulate_state_validation():
     real = fdr.build_hw3_fdr(THETA0, Y_NS, YM0)
     cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1, grid=np.linspace(0, 2, 21))

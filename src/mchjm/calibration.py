@@ -44,7 +44,6 @@ __all__ = [
     "CalibrationError",
     "Theta",
     "MarketSnapshot",
-    "InnerSolution",
     "DayFit",
     "Diagnostics",
     "CalibrationResult",
@@ -232,17 +231,6 @@ class MarketSnapshot:
 
 
 @dataclass(frozen=True)
-class InnerSolution:
-    """Per-day linear fit: factor block, curve coefficients, residual norm."""
-
-    z1: np.ndarray
-    y: np.ndarray
-    residual_norm: float
-    rank: int
-    rank_deficient: bool
-
-
-@dataclass(frozen=True)
 class DayFit:
     """One day of a calibration: linear variables, residual norm and the
     rank of the day's design matrix (7 when the day is fully determined)."""
@@ -252,6 +240,10 @@ class DayFit:
     y: np.ndarray
     residual_norm: float
     rank: int
+
+    @property
+    def rank_deficient(self) -> bool:
+        return self.rank < 7
 
 
 @dataclass(frozen=True)
@@ -401,7 +393,7 @@ def inner_solve(
     theta: Theta,
     *,
     base_spreads=None,
-) -> InnerSolution:
+) -> DayFit:
     """Minimize the day's residual norm over the linear variables (z1, y).
 
     The affine map ``Res(u) = A u + c`` is solved by SVD with singular
@@ -412,10 +404,7 @@ def inner_solve(
                        snapshot.maturities, *_market([snapshot]),
                        _base_spreads(snapshot, base_spreads))
     u, r, rank = _solve_day(A[0], c[0])
-    return InnerSolution(
-        z1=u[:4], y=u[4:], residual_norm=float(np.linalg.norm(r)), rank=rank,
-        rank_deficient=rank < 7,
-    )
+    return DayFit(snapshot.date, u[:4], u[4:], float(np.linalg.norm(r)), rank)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +520,9 @@ def outer_calibrate(
     per_day = []
     sse = 0.0
     for snap in snapshots:
-        sol = inner_solve(snap, theta_star, base_spreads=base)
-        per_day.append(DayFit(snap.date, sol.z1, sol.y, sol.residual_norm, sol.rank))
-        sse += sol.residual_norm ** 2
+        fit = inner_solve(snap, theta_star, base_spreads=base)
+        per_day.append(fit)
+        sse += fit.residual_norm ** 2
 
     svals = np.linalg.svd(res.jac, compute_uv=False)
     cond = float("inf") if svals[-1] == 0.0 else float(svals[0] / svals[-1])

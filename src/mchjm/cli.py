@@ -152,6 +152,8 @@ class RunConfig:
             value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"option {key!r} must be a number, got {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"option {key!r} must be finite, got {raw!r}")
         if (key.endswith("tol") or key.endswith("tolerance")) and value <= 0:
             raise ConfigError(f"tolerance override {key!r} must be positive")
         return value
@@ -167,6 +169,8 @@ class RunConfig:
                 raise ConfigError(
                     f"option {key!r} must be comma-separated numbers, got {raw!r}"
                 ) from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"option {key!r} must be finite numbers, got {raw!r}")
         if len(values) != length:
             raise ConfigError(f"option {key!r} needs exactly {length} values")
         return values
@@ -526,12 +530,37 @@ def _check_states(config: RunConfig, decays: Sequence[float], base_ns, base_spre
     return states
 
 
+@contextmanager
+def _geometry_failures():
+    """A setting the geometry rejects (a ``ValueError``, e.g. a bracket depth
+    beyond the cost guard) exits 2; a rank-deficient family jacobian exits 5."""
+    try:
+        yield
+    except geometry.ImmersionError as exc:
+        raise NumericalFailureError(str(exc)) from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def cmd_check(config: RunConfig) -> None:
     """Run the geometry checks for one named family and emit a report."""
     family = config.get_str("family")
     if family is None:
         raise ConfigError("check requires --family")
     n_states = config.get_int("states", 1)
+    if n_states < 1:
+        raise ConfigError(f"option 'states' must be at least 1, got {n_states}")
+    with _geometry_failures():
+        rows, summary = _check_family(config, family, n_states)
+    _write_csv(config.out / "check_report.csv", "kind,name,value,verdict", rows)
+    print(f"family {family}:")
+    for line in summary:
+        print(f"  {line}")
+
+
+def _check_family(config: RunConfig, family: str,
+                  n_states: int) -> tuple[list[tuple], list[str]]:
+    """Report rows and summary lines of one family's checks."""
     rows: list[tuple] = []
     summary: list[str] = []
 
@@ -609,11 +638,7 @@ def cmd_check(config: RunConfig) -> None:
             )
     else:
         raise ConfigError(f"unknown family {family!r}")
-
-    _write_csv(config.out / "check_report.csv", "kind,name,value,verdict", rows)
-    print(f"family {family}:")
-    for line in summary:
-        print(f"  {line}")
+    return rows, summary
 
 
 def cmd_stability(config: RunConfig) -> None:
@@ -673,6 +698,19 @@ def cmd_sweep(config: RunConfig) -> None:
           f"({done} calibrated, {len(rows) - done} skipped); table in {config.out}")
 
 
+def _martingale_z(paths: dynamics.HJMPaths, j: int, t: float, T: float):
+    """(j, statistic, z) of curve j's martingale check; a non-finite z is a
+    numerical failure."""
+    stat = dynamics.martingale_check(paths, j, t, T)
+    # a constant sample (zero volatility) leaves an ulp-level std from
+    # the mean rounding; no genuine Monte-Carlo error gets this small
+    degenerate = stat.stderr <= 1e-14 * max(1.0, abs(stat.mean))
+    z = 0.0 if degenerate else stat.z
+    if not math.isfinite(z):
+        raise NumericalFailureError(f"martingale z-score of curve {j} is {z}")
+    return j, stat, z
+
+
 def cmd_simulate(config: RunConfig) -> None:
     """Simulate the three-curve model and run the martingale diagnostics."""
     sigma = config.get_floats("sigma", cal.DEFAULT_THETA0.sigma, 3)
@@ -694,9 +732,11 @@ def cmd_simulate(config: RunConfig) -> None:
         initial = MultiCurveState(curves, np.array(spreads0))
         cfg = dynamics.SimConfig(dt=dt, horizon=horizon, n_paths=n_paths,
                                  seed=config.seed)
-        paths = dynamics.simulate_hjm(initial, spec, cfg,
-                                      record_times=(0.0, horizon),
-                                      drift_shift=drift_shift)
+        with np.errstate(all="ignore"):
+            paths = dynamics.simulate_hjm(initial, spec, cfg,
+                                          record_times=(0.0, horizon),
+                                          drift_shift=drift_shift)
+            stats = [_martingale_z(paths, j, horizon, bond_maturity) for j in range(3)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except dynamics.NumericalError as exc:
@@ -725,15 +765,6 @@ def cmd_simulate(config: RunConfig) -> None:
         for j in range(3)
         for k, x in enumerate(paths.grid)
     ])
-
-    stats = []
-    for j in range(3):
-        stat = dynamics.martingale_check(paths, j, horizon, bond_maturity)
-        # a constant sample (zero volatility) leaves an ulp-level std from
-        # the mean rounding; no genuine Monte-Carlo error gets this small
-        degenerate = stat.stderr <= 1e-14 * max(1.0, abs(stat.mean))
-        z = 0.0 if degenerate else stat.z
-        stats.append((j, stat, z))
     _write_csv(out / "martingale_report.csv", "j,t,T,estimate,target,stderr,z", [
         (j, _fmt(stat.t), _fmt(stat.T), _fmt(stat.mean), _fmt(stat.target),
          _fmt(stat.stderr), _fmt(z))

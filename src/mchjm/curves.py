@@ -14,17 +14,18 @@ tenor-j rates implied by the spread/bond system follow from
 
 which reduces to the textbook formula when r^j = r^0 and Y^j = 0.
 
-Curves come in two flavors: analytic (an exact quasi-exponential function,
-integrals via the symbolic H operator) and sampled (values on a maturity
-grid, linear interpolation, trapezoid integrals).  Sampled curves are
-extended *flat* beyond their grid on both sides.
+Every curve of a state is an ``AnalyticCurve``: an exact quasi-exponential
+function whose integrals come from the symbolic H operator, so drifts and
+the finite-difference calculus of :mod:`mchjm.geometry` stay exact in the
+curve direction.  A ``TangentVector`` is the one vector type of the state
+space (drifts, diffusion fields and Lie brackets): one QE curve per tenor
+plus an m-vector of log-spread components.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -33,10 +34,9 @@ from . import qe
 __all__ = [
     "DEFAULT_GRID",
     "AnalyticCurve",
-    "SampledCurve",
-    "ForwardCurve",
     "TenorStructure",
     "MultiCurveState",
+    "TangentVector",
     "bond_price",
     "yield_value",
     "simple_forward_rate",
@@ -63,56 +63,6 @@ class AnalyticCurve:
 
 
 @dataclass(frozen=True)
-class SampledCurve:
-    """Forward curve sampled on an ascending maturity grid.
-
-    Linear interpolation between nodes; flat extrapolation outside.
-    """
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.shape != v.shape:
-            raise ValueError("grid and values must be 1-d arrays of equal length")
-        if g.size < 2 or np.any(np.diff(g) <= 0):
-            raise ValueError("grid must be strictly increasing with >= 2 nodes")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v))):
-            raise ValueError("grid and values must be finite")
-        if g[0] < 0:
-            raise ValueError("maturity grid must start at x >= 0")
-        g.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    def value(self, x):
-        out = np.interp(np.asarray(x, dtype=float), self.grid, self.values)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def integral(self, x):
-        """int_0^x of the interpolant (flat outside the grid)."""
-        g, v = self.grid, self.values
-        nodes = np.concatenate(([0.0], g)) if g[0] > 0 else g
-        vals = np.concatenate(([v[0]], v)) if g[0] > 0 else v
-        cum = np.concatenate(([0.0], np.cumsum(np.diff(nodes) * 0.5 * (vals[:-1] + vals[1:]))))
-        xarr = np.asarray(x, dtype=float)
-        inside = np.clip(xarr, nodes[0], nodes[-1])
-        idx = np.clip(np.searchsorted(nodes, inside, side="right") - 1, 0, len(nodes) - 2)
-        x0 = nodes[idx]
-        v0 = vals[idx]
-        vx = v0 + (vals[idx + 1] - v0) * (inside - x0) / (nodes[idx + 1] - x0)
-        out = cum[idx] + (inside - x0) * 0.5 * (v0 + vx)
-        out = out + (xarr - inside) * np.where(xarr > nodes[-1], vals[-1], vals[0])
-        return float(out) if np.ndim(x) == 0 else out
-
-
-ForwardCurve = Union[AnalyticCurve, SampledCurve]
-
-
-@dataclass(frozen=True)
 class TenorStructure:
     """The tenors delta_1 < ... < delta_m of the risk-sensitive curves."""
 
@@ -133,19 +83,23 @@ class TenorStructure:
 class MultiCurveState:
     """Curves (r^0, r^1, ..., r^m) plus log-spreads (Y^1, ..., Y^m)."""
 
-    curves: tuple[ForwardCurve, ...]
+    curves: tuple[AnalyticCurve, ...]
     log_spreads: np.ndarray
 
     def __post_init__(self):
+        curves = tuple(self.curves)
+        for c in curves:
+            if not isinstance(c, AnalyticCurve):
+                raise TypeError(f"state curves must be AnalyticCurve, got {type(c).__name__}")
         y = np.atleast_1d(np.asarray(self.log_spreads, dtype=float))
-        if len(self.curves) != y.size + 1:
+        if len(curves) != y.size + 1:
             raise ValueError(
-                f"{len(self.curves)} curves need {len(self.curves) - 1} log-spreads, got {y.size}"
+                f"{len(curves)} curves need {len(curves) - 1} log-spreads, got {y.size}"
             )
         if not np.all(np.isfinite(y)):
             raise ValueError("log-spreads must be finite")
         y.setflags(write=False)
-        object.__setattr__(self, "curves", tuple(self.curves))
+        object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "log_spreads", y)
 
     @property
@@ -153,12 +107,57 @@ class MultiCurveState:
         return len(self.curves) - 1
 
 
-def bond_price(curve: ForwardCurve, x) -> float:
+@dataclass(frozen=True)
+class TangentVector:
+    """Direction in the state space: one QE curve per tenor plus an m-vector
+    of log-spread components."""
+
+    curves: tuple[qe.QEFunction, ...]
+    spreads: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "curves", tuple(self.curves))
+        s = np.asarray(self.spreads, dtype=float).reshape(-1).copy()
+        s.setflags(write=False)
+        object.__setattr__(self, "spreads", s)
+
+    def _check(self, other: "TangentVector") -> None:
+        if len(self.curves) != len(other.curves) or self.spreads.size != other.spreads.size:
+            raise ValueError("tangent vectors live on different state spaces")
+
+    def __add__(self, other: "TangentVector") -> "TangentVector":
+        self._check(other)
+        return TangentVector(
+            tuple(a + b for a, b in zip(self.curves, other.curves)),
+            self.spreads + other.spreads,
+        )
+
+    def __sub__(self, other: "TangentVector") -> "TangentVector":
+        return self + (other * -1.0)
+
+    def __mul__(self, c) -> "TangentVector":
+        c = float(c)
+        return TangentVector(tuple(f * c for f in self.curves), self.spreads * c)
+
+    __rmul__ = __mul__
+
+    def values(self, grid: np.ndarray) -> np.ndarray:
+        """Discretization: curve values on the grid, then the spread entries."""
+        g = np.asarray(grid, dtype=float)
+        blocks = [qe.evaluate(f, g) for f in self.curves]
+        blocks.append(self.spreads)
+        return np.concatenate(blocks)
+
+    def sup_norm(self, grid: np.ndarray) -> float:
+        return float(np.max(np.abs(self.values(grid))))
+
+
+def bond_price(curve: AnalyticCurve, x) -> float:
     """B(x) = exp(-int_0^x r); equals 1 at x = 0."""
     return np.exp(-curve.integral(x)) if np.ndim(x) else float(math.exp(-curve.integral(x)))
 
 
-def yield_value(curve: ForwardCurve, x) -> float:
+def yield_value(curve: AnalyticCurve, x) -> float:
     """Continuously compounded yield int_0^x r / x (undefined at x = 0)."""
     xarr = np.asarray(x, dtype=float)
     if np.any(xarr <= 0):
@@ -167,7 +166,7 @@ def yield_value(curve: ForwardCurve, x) -> float:
     return float(out) if np.ndim(x) == 0 else out
 
 
-def simple_forward_rate(curve: ForwardCurve, T: float, delta: float) -> float:
+def simple_forward_rate(curve: AnalyticCurve, T: float, delta: float) -> float:
     """Simply compounded forward rate L(T, T + delta) off one curve."""
     if delta <= 0:
         raise ValueError("tenor must be positive")

@@ -26,7 +26,7 @@ Two volatility specifications are supported:
   so the Stratonovich correction is exact.
 
 ``ito_drift`` and ``simulate_hjm`` both read these cached kernels.  Drifts
-are defined on analytic states only; a sampled curve raises ``TypeError``.
+are ``TangentVector``s: one QE curve per tenor plus the log-spread drifts.
 
 ``simulate_hjm`` is an Euler-Maruyama scheme on a uniform maturity grid with
 *upwind* differencing for the transport term F r (flat beyond the far grid
@@ -44,7 +44,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import qe
-from .curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState
+from .curves import DEFAULT_GRID, MultiCurveState, TangentVector
 
 __all__ = [
     "NonzeroConditionError",
@@ -53,7 +53,6 @@ __all__ = [
     "ConstantVolSpec",
     "ConstantDirectionVolSpec",
     "VolSpec",
-    "Drift",
     "sigma_fields",
     "ito_drift",
     "stratonovich_drift",
@@ -260,17 +259,6 @@ def hull_white_three_curve_spec(sigmas: Sequence[float], rates: Sequence[float],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Drift:
-    """Curve drifts (as curves) and log-spread drifts (scalars)."""
-
-    curves: tuple[AnalyticCurve, ...]
-    spreads: np.ndarray
-
-    def curve_values(self, grid: np.ndarray) -> np.ndarray:
-        return np.stack([c.value(grid) for c in self.curves])
-
-
 def sigma_fields(spec: VolSpec, state: MultiCurveState):
     """sigma^j_i at this state as QE curves, and beta values as an (m, d) array."""
     if isinstance(spec, ConstantVolSpec):
@@ -285,12 +273,10 @@ def _drift_loadings(state: MultiCurveState, spec: VolSpec):
     (phi, beta) there, or None for constant volatilities."""
     if state.m != spec.m:
         raise ValueError("state and volatility spec disagree on the number of tenors")
-    if not all(isinstance(c, AnalyticCurve) for c in state.curves):
-        raise TypeError("vector-field calculus requires analytic curve states")
     return None if isinstance(spec, ConstantVolSpec) else spec.loadings(state)
 
 
-def _ito_drift(state: MultiCurveState, spec: VolSpec, loadings) -> Drift:
+def _ito_drift(state: MultiCurveState, spec: VolSpec, loadings) -> TangentVector:
     m = state.m
     if loadings is None:
         beta = spec.beta
@@ -307,7 +293,7 @@ def _ito_drift(state: MultiCurveState, spec: VolSpec, loadings) -> Drift:
                 if j >= 1:
                     acc = acc + spec.lam[j][i] * (-(beta[j - 1, i] * p))
             vol.append(acc)
-    curves_out = [AnalyticCurve(qe.derive(c.func) + v) for c, v in zip(state.curves, vol)]
+    curves_out = [qe.derive(c.func) + v for c, v in zip(state.curves, vol)]
     r0_short = state.curves[0].value(0.0)
     spread_out = np.array(
         [
@@ -315,15 +301,15 @@ def _ito_drift(state: MultiCurveState, spec: VolSpec, loadings) -> Drift:
             for j in range(1, m + 1)
         ]
     )
-    return Drift(tuple(curves_out), spread_out)
+    return TangentVector(tuple(curves_out), spread_out)
 
 
-def ito_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
-    """Risk-neutral Ito drift of (r^0..r^m, Y^1..Y^m) at an analytic state."""
+def ito_drift(state: MultiCurveState, spec: VolSpec) -> TangentVector:
+    """Risk-neutral Ito drift of (r^0..r^m, Y^1..Y^m) at a state."""
     return _ito_drift(state, spec, _drift_loadings(state, spec))
 
 
-def stratonovich_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
+def stratonovich_drift(state: MultiCurveState, spec: VolSpec) -> TangentVector:
     """Ito drift minus the 1/2 (d sigma_hat) sigma_hat correction.
 
     A loading f = c + s Y^k changes along the i-th diffusion field at the
@@ -348,11 +334,11 @@ def stratonovich_drift(state: MultiCurveState, spec: VolSpec) -> Drift:
         for i, (lam, f) in enumerate(zip(spec.lam[j], spec.phi[j])):
             if f.slope and not lam.is_zero:
                 corr = corr + lam * (-half_dfield(f, i))
-        curves_out.append(AnalyticCurve(c.func + corr))
+        curves_out.append(c + corr)
     spreads_out = base.spreads - np.array(
         [sum(half_dfield(f, i) for i, f in enumerate(row)) for row in spec.beta]
     )
-    return Drift(tuple(curves_out), spreads_out)
+    return TangentVector(tuple(curves_out), spreads_out)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +358,8 @@ class SimConfig:
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.horizon < math.inf):
+            raise ValueError("dt and horizon must be positive and finite")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("horizon must be an integer multiple of dt")

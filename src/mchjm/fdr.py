@@ -93,7 +93,6 @@ class FDRRealization:
     drift: Callable[[np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
     initial_state: np.ndarray
-    coordinate_names: tuple[str, ...] = ()
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -103,8 +102,6 @@ class FDRRealization:
         z0 = z0.copy()
         z0.setflags(write=False)
         object.__setattr__(self, "initial_state", z0)
-        if self.coordinate_names and len(self.coordinate_names) != self.n:
-            raise ValueError("coordinate_names length must match the state dimension")
 
     def embed(self, z: np.ndarray) -> MultiCurveState:
         """Map a state vector to the corresponding curve configuration."""
@@ -137,15 +134,13 @@ def build_constant_vol_fdr(initial: MultiCurveState, spec: ConstantVolSpec) -> F
 
     with ``S^j_i`` the antiderivative of ``sigma^j_i``, and the log-spread
     components collect the evaluation-at-zero functionals of the same
-    quantities.  Requires analytic initial curves.
+    quantities.
     """
     if not isinstance(spec, ConstantVolSpec):
         raise TypeError("build_constant_vol_fdr needs a ConstantVolSpec")
     m, d = spec.m, spec.d
     if initial.m != m:
         raise ValueError("initial state and spec disagree on the number of tenors")
-    if not all(isinstance(c, AnalyticCurve) for c in initial.curves):
-        raise TypeError("the generic builder requires analytic initial curves")
     r_funcs = [c.func for c in initial.curves]
     y0 = np.array(initial.log_spreads, dtype=float)
     beta = np.asarray(spec.beta, dtype=float)
@@ -246,15 +241,11 @@ def build_constant_vol_fdr(initial: MultiCurveState, spec: ConstantVolSpec) -> F
     def diffusion(z: np.ndarray) -> np.ndarray:
         return b_mat
 
-    names = ["x0"]
-    for i in range(d):
-        names += [f"q{i + 1}[{k}]" for k in range(n_i[i] + 1)]
     return FDRRealization(
         n=n, m=m, d=d,
         embed_curves=embed_curves, embed_spreads=embed_spreads,
         drift=drift, diffusion=diffusion,
         initial_state=np.zeros(n),
-        coordinate_names=tuple(names),
         meta={"kind": "constant_vol", "block_degrees": tuple(n_i),
               "annihilators": tuple(a.coeffs if a is not None else () for a in ann)},
     )
@@ -442,7 +433,6 @@ def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence
         embed_curves=embed_curves, embed_spreads=embed_spreads,
         drift=drift, diffusion=diffusion,
         initial_state=np.zeros(5),
-        coordinate_names=("x0", "q0", "q1", "q2", "q3"),
         meta={"kind": "hw3", "annihilator": (e3, e2, e1, 1.0)},
     )
 
@@ -565,14 +555,11 @@ def build_cdv_example_fdr(
         b[..., 3, 0] = b[..., 4, 1] = b[..., 5, 2] = 1.0
         return b
 
-    names = ("x0", "s1", "s2", "w0", "w1", "w2",
-             "d0[0]", "d0[1]", "d1[0]", "d1[1]", "d2[0]", "d2[1]")
     return FDRRealization(
         n=12, m=2, d=3,
         embed_curves=embed_curves, embed_spreads=spreads,
         drift=drift, diffusion=diffusion,
         initial_state=np.zeros(12),
-        coordinate_names=names,
         meta={"kind": "cdv_example"},
     )
 

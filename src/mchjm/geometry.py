@@ -10,9 +10,13 @@ from the state of a finite-dimensional realization.
 All derivatives are central finite differences on analytic states, with
 steps scaled to the size of the objects involved.  The model fields are at
 most quadratic in the state for every volatility specification in
-:mod:`mchjm.dynamics`, so single brackets are exact up to rounding; the
-default steps are chosen so that rounding noise stays far below the rank
-and verdict thresholds even for triply nested brackets.
+:mod:`mchjm.dynamics`, so single brackets are exact up to rounding.  The
+steps, rank cutoffs and verdict tolerances are fixed module constants,
+chosen so that rounding noise stays far below the rank and verdict
+thresholds even for triply nested brackets; only the bracket step (which
+the span estimate and the commutation check set differently) and the
+tangency threshold are parameters.  Every field is discretized on
+:data:`~mchjm.curves.DEFAULT_GRID`.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import qe
-from .curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState
+from .curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState, TangentVector
 from .dynamics import VolSpec, sigma_fields, single_factor_spec, stratonovich_drift
 from .fdr import FDRRealization
 
 __all__ = [
     "ImmersionError",
-    "TangentVector",
     "VectorField",
     "perturbed_state",
     "model_fields",
@@ -57,68 +60,37 @@ class ImmersionError(RuntimeError):
     """The family jacobian is rank deficient at the tested point."""
 
 
+# Bracket steps (the largest state perturbation of one directional
+# derivative): the default, which the commutation check uses, and the span
+# estimate's.
+_BRACKET_FD_STEP = 1e-3
+_SPAN_FD_STEP = 2e-3
+# Span estimate: a bracket below _PRUNE_REL_TOL times the largest norm seen
+# is finite-difference noise; singular values below _SVD_REL_TOL times the
+# largest do not count towards the dimension.
+_PRUNE_REL_TOL = 1e-7
+_SVD_REL_TOL = 1e-8
+# A log-spread direction commutes when every relative bracket is below this.
+_COMMUTES_REL_TOL = 1e-6
+# Family jacobian step, relative to 1 + |z_k|.
+_JACOBIAN_FD_SCALE = 1e-6
+# Tangency verdict "consistent" needs every residual below this.
+_CONSISTENT_TOL = 1e-6
+
+
 # ---------------------------------------------------------------------------
 # tangent vectors and model vector fields
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Direction in the state space: one QE curve per tenor plus an m-vector
-    of log-spread components."""
-
-    curves: tuple[qe.QEFunction, ...]
-    spreads: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "curves", tuple(self.curves))
-        s = np.asarray(self.spreads, dtype=float).reshape(-1).copy()
-        s.setflags(write=False)
-        object.__setattr__(self, "spreads", s)
-
-    def _check(self, other: "TangentVector") -> None:
-        if len(self.curves) != len(other.curves) or self.spreads.size != other.spreads.size:
-            raise ValueError("tangent vectors live on different state spaces")
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        self._check(other)
-        return TangentVector(
-            tuple(a + b for a, b in zip(self.curves, other.curves)),
-            self.spreads + other.spreads,
-        )
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        return self + (other * -1.0)
-
-    def __mul__(self, c) -> "TangentVector":
-        c = float(c)
-        return TangentVector(tuple(f * c for f in self.curves), self.spreads * c)
-
-    __rmul__ = __mul__
-
-    def values(self, grid: np.ndarray) -> np.ndarray:
-        """Discretization: curve values on the grid, then the spread entries."""
-        g = np.asarray(grid, dtype=float)
-        blocks = [qe.evaluate(f, g) for f in self.curves]
-        blocks.append(self.spreads)
-        return np.concatenate(blocks)
-
-    def sup_norm(self, grid: np.ndarray) -> float:
-        return float(np.max(np.abs(self.values(grid))))
 
 
 VectorField = Callable[[MultiCurveState], TangentVector]
 
 
 def perturbed_state(state: MultiCurveState, direction: TangentVector, eps: float) -> MultiCurveState:
-    """state + eps * direction.  Requires analytic curves so that transport
+    """state + eps * direction, exact in QE arithmetic so that transport
     terms of drifts evaluated at the perturbed state stay exact."""
-    curves = []
-    for c, v in zip(state.curves, direction.curves):
-        if not isinstance(c, AnalyticCurve):
-            raise TypeError("vector-field calculus requires analytic curve states")
-        curves.append(AnalyticCurve(c.func + v * eps))
-    return MultiCurveState(tuple(curves), np.asarray(state.log_spreads) + eps * direction.spreads)
+    curves = tuple(AnalyticCurve(c.func + v * eps) for c, v in zip(state.curves, direction.curves))
+    return MultiCurveState(curves, np.asarray(state.log_spreads) + eps * direction.spreads)
 
 
 def model_fields(spec: VolSpec) -> tuple[VectorField, tuple[VectorField, ...]]:
@@ -126,8 +98,7 @@ def model_fields(spec: VolSpec) -> tuple[VectorField, tuple[VectorField, ...]]:
     callables ``state -> TangentVector``."""
 
     def mu(state: MultiCurveState) -> TangentVector:
-        drift = stratonovich_drift(state, spec)
-        return TangentVector(tuple(c.func for c in drift.curves), drift.spreads)
+        return stratonovich_drift(state, spec)
 
     def diffusion(i: int) -> VectorField:
         def sig_i(state: MultiCurveState) -> TangentVector:
@@ -148,8 +119,7 @@ def lie_bracket_numeric(
     v1: VectorField,
     v2: VectorField,
     state: MultiCurveState,
-    fd_step: float = 1e-3,
-    grid: Optional[np.ndarray] = None,
+    fd_step: float = _BRACKET_FD_STEP,
 ) -> TangentVector:
     """[v1, v2] = (d v1) v2 - (d v2) v1 by symmetric finite differences.
 
@@ -157,12 +127,11 @@ def lie_bracket_numeric(
     direction it differentiates along, so the actual state perturbation
     never exceeds ``fd_step``.
     """
-    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     w1 = v1(state)
     w2 = v2(state)
 
     def directional(f: VectorField, w: TangentVector) -> TangentVector:
-        h = fd_step / (1.0 + w.sup_norm(g))
+        h = fd_step / (1.0 + w.sup_norm(DEFAULT_GRID))
         up = f(perturbed_state(state, w, h))
         dn = f(perturbed_state(state, w, -h))
         return (up - dn) * (0.5 / h)
@@ -174,11 +143,6 @@ def span_dimension_estimate(
     fields: Sequence[VectorField],
     state: MultiCurveState,
     bracket_depth: int,
-    *,
-    grid: Optional[np.ndarray] = None,
-    fd_step: float = 2e-3,
-    svd_rel_tol: float = 1e-8,
-    prune_rel_tol: float = 1e-7,
 ) -> int:
     """Numerical dimension of the span of the fields and their iterated
     brackets at one state.
@@ -186,28 +150,27 @@ def span_dimension_estimate(
     Brackets are generated level by level: first all pairwise brackets of
     the generators, then brackets of the previous level against the
     generators.  A new bracket whose discretized norm falls below
-    ``prune_rel_tol`` times the largest norm seen so far is treated as
+    ``_PRUNE_REL_TOL`` times the largest norm seen so far is treated as
     finite-difference noise: it is neither counted nor bracketed further.
     Surviving columns are normalized before the SVD so that scale gaps
     between drift and diffusion directions cannot mask genuine ones.
     """
     if not 0 <= bracket_depth <= 3:
         raise ValueError("bracket depth must be between 0 and 3 (cost guard)")
-    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
 
-    evaluated = [(f, f(state).values(g)) for f in fields]
+    evaluated = [(f, f(state).values(DEFAULT_GRID)) for f in fields]
     max_norm = max((float(np.linalg.norm(c)) for _, c in evaluated), default=0.0)
     if max_norm == 0.0:
         return 0
     generators = [
-        (f, c) for f, c in evaluated if np.linalg.norm(c) > prune_rel_tol * max_norm
+        (f, c) for f, c in evaluated if np.linalg.norm(c) > _PRUNE_REL_TOL * max_norm
     ]
     if not generators:
         return 0
     columns = [c for _, c in generators]
 
     def bracket_field(x: VectorField, y: VectorField) -> VectorField:
-        return lambda s: lie_bracket_numeric(x, y, s, fd_step=fd_step, grid=g)
+        return lambda s: lie_bracket_numeric(x, y, s, fd_step=_SPAN_FD_STEP)
 
     level = generators
     for depth in range(1, bracket_depth + 1):
@@ -219,9 +182,9 @@ def span_dimension_estimate(
             candidates = [bracket_field(x, h) for x, _ in level for h, _ in generators]
         new_level = []
         for cand in candidates:
-            col = cand(state).values(g)
+            col = cand(state).values(DEFAULT_GRID)
             nrm = float(np.linalg.norm(col))
-            if nrm > prune_rel_tol * max_norm:
+            if nrm > _PRUNE_REL_TOL * max_norm:
                 new_level.append((cand, col))
                 columns.append(col)
                 max_norm = max(max_norm, nrm)
@@ -231,7 +194,7 @@ def span_dimension_estimate(
 
     mat = np.stack([c / np.linalg.norm(c) for c in columns], axis=1)
     sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > svd_rel_tol * sv[0]))
+    return int(np.sum(sv > _SVD_REL_TOL * sv[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +216,6 @@ def commutation_check(
     spec: VolSpec,
     spread_indices: Optional[Sequence[int]],
     state: MultiCurveState,
-    *,
-    fd_step: float = 1e-3,
-    rel_tol: float = 1e-6,
-    grid: Optional[np.ndarray] = None,
 ) -> dict[int, CommutationResult]:
     """For each listed log-spread index k, does the coordinate direction of
     Y^k commute with the drift and diffusion fields of the model?
@@ -265,7 +224,6 @@ def commutation_check(
     coordinate instead of feeding it back into the other states.  ``None``
     checks every index.
     """
-    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     m = spec.m
     indices = tuple(range(1, m + 1)) if spread_indices is None else tuple(spread_indices)
     if any(not 1 <= k <= m for k in indices):
@@ -284,10 +242,10 @@ def commutation_check(
 
         rels = []
         for f in fields:
-            br = lie_bracket_numeric(f, gamma_field, state, fd_step=fd_step, grid=g)
-            rels.append(br.sup_norm(g) / (1.0 + f(state).sup_norm(g)))
+            br = lie_bracket_numeric(f, gamma_field, state)
+            rels.append(br.sup_norm(DEFAULT_GRID) / (1.0 + f(state).sup_norm(DEFAULT_GRID)))
         worst = max(rels)
-        out[k] = CommutationResult(tuple(rels), worst, worst < rel_tol)
+        out[k] = CommutationResult(tuple(rels), worst, worst < _COMMUTES_REL_TOL)
     return out
 
 
@@ -308,7 +266,6 @@ class ParamFamily:
     m: int
     curve_map: Callable[[np.ndarray], tuple[qe.QEFunction, ...]]
     spread_map: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
 
     def embed(self, z: np.ndarray) -> MultiCurveState:
         z = np.asarray(z, dtype=float)
@@ -326,16 +283,14 @@ class ParamFamily:
         return np.concatenate(blocks)
 
 
-def family_jacobian(
-    family: ParamFamily, z: np.ndarray, grid: np.ndarray, fd_scale: float = 1e-6
-) -> np.ndarray:
+def family_jacobian(family: ParamFamily, z: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """d(discretized G)/dz by central differences, step
-    'fd_scale * (1 + |z_k|)' per coordinate."""
+    '_JACOBIAN_FD_SCALE * (1 + |z_k|)' per coordinate."""
     z = np.asarray(z, dtype=float)
     g = np.asarray(grid, dtype=float)
     cols = []
     for k in range(family.param_dim):
-        h = fd_scale * (1.0 + abs(z[k]))
+        h = _JACOBIAN_FD_SCALE * (1.0 + abs(z[k]))
         zp = z.copy()
         zp[k] += h
         zm = z.copy()
@@ -350,7 +305,7 @@ class TangencyReport:
     tangent space of a family, with a three-way verdict.
 
     ``inconsistent`` when any residual exceeds ``threshold``;
-    ``consistent`` when all stay below ``consistent_tol``; the band in
+    ``consistent`` when all stay below ``_CONSISTENT_TOL`` (1e-6); the band in
     between is ``inconclusive`` (the finite-difference noise floor sits
     near 1e-7, so verdicts inside the band would not be trustworthy).
     """
@@ -358,7 +313,6 @@ class TangencyReport:
     drift_residual: float
     diffusion_residuals: tuple[float, ...]
     threshold: float
-    consistent_tol: float
     verdict: str
 
     @property
@@ -378,11 +332,8 @@ def tangency_residual(
     family: ParamFamily,
     spec: VolSpec,
     z: np.ndarray,
-    grid: Optional[np.ndarray] = None,
     *,
     threshold: float = 1e-4,
-    consistent_tol: float = 1e-6,
-    fd_scale: float = 1e-6,
 ) -> TangencyReport:
     """Least-squares tangency of the model fields to the family at G(z).
 
@@ -392,24 +343,24 @@ def tangency_residual(
     Raises :class:`ImmersionError` when the jacobian is rank deficient
     (smallest singular value at or below 1e-10 times the largest).
     """
-    g = DEFAULT_GRID if grid is None else np.asarray(grid, dtype=float)
     z = np.asarray(z, dtype=float)
-    jac = family_jacobian(family, z, g, fd_scale=fd_scale)
+    jac = family_jacobian(family, z, DEFAULT_GRID)
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] <= 1e-10 * sv[0]:
         raise ImmersionError("family jacobian is rank deficient at this parameter point")
 
     state = family.embed(z)
     mu, sigmas = model_fields(spec)
-    residuals = [_relative_lstsq_residual(jac, f(state).values(g)) for f in (mu, *sigmas)]
+    residuals = [_relative_lstsq_residual(jac, f(state).values(DEFAULT_GRID))
+                 for f in (mu, *sigmas)]
     worst = max(residuals)
     if worst > threshold:
         verdict = "inconsistent"
-    elif worst < consistent_tol:
+    elif worst < _CONSISTENT_TOL:
         verdict = "consistent"
     else:
         verdict = "inconclusive"
-    return TangencyReport(residuals[0], tuple(residuals[1:]), threshold, consistent_tol, verdict)
+    return TangencyReport(residuals[0], tuple(residuals[1:]), threshold, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +437,7 @@ def build_modified_ns_family(params: HullWhiteStackParams, strategy: int) -> Par
         def free_spreads(z: np.ndarray) -> np.ndarray:
             return np.asarray(z[n_curve:], dtype=float).copy()
 
-        return ParamFamily(n_curve + m, m, curve_map, free_spreads, name="modified-ns/free-spreads")
+        return ParamFamily(n_curve + m, m, curve_map, free_spreads)
 
     if strategy == 2:
         sig = params.sigma
@@ -520,7 +471,7 @@ def build_modified_ns_family(params: HullWhiteStackParams, strategy: int) -> Par
                 out[j - 1] = base_block + tenor_block
             return out
 
-        return ParamFamily(n_curve, m, curve_map, implied_spreads, name="modified-ns/implied-spreads")
+        return ParamFamily(n_curve, m, curve_map, implied_spreads)
 
     raise ValueError("strategy must be 1 or 2")
 
@@ -541,19 +492,13 @@ def nelson_siegel_family(decays: Sequence[float]) -> ParamFamily:
     def spread_map(z: np.ndarray) -> np.ndarray:
         return np.asarray(z[n_curve:], dtype=float).copy()
 
-    return ParamFamily(n_curve + m, m, curve_map, spread_map, name="nelson-siegel")
+    return ParamFamily(n_curve + m, m, curve_map, spread_map)
 
 
 def family_from_realization(real: FDRRealization) -> ParamFamily:
     """View a realization's embedding as a parameterized family (its
     invariant manifold), e.g. to confirm tangency of the model fields."""
-    return ParamFamily(
-        real.n,
-        real.m,
-        real.embed_curves,
-        real.embed_spreads,
-        name=str(real.meta.get("kind", "realization")),
-    )
+    return ParamFamily(real.n, real.m, real.embed_curves, real.embed_spreads)
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +523,6 @@ class Strategy2Report:
 def verify_strategy2_consistency(
     params: HullWhiteStackParams,
     tolerance: float = 1e-4,
-    *,
-    z: Optional[np.ndarray] = None,
-    grid: Optional[np.ndarray] = None,
 ) -> Strategy2Report:
     """Check the implied-spread family against the single-factor stack model.
 
@@ -588,18 +530,18 @@ def verify_strategy2_consistency(
     the control scales beta by 1.1 in both the family and the model, which
     breaks the diffusion tangency whenever beta is nonzero (the drift
     identity holds for any beta, so only diffusion residuals move).  The
-    default parameter point keeps z3 = 0.5, well inside the log domain.
+    parameter point keeps z3 = 0.5, well inside the log domain.
     """
     base = HullWhiteStackParams(params.sigma, params.a)
     beta = spread_volatility_relation(base)
     m = base.m
-    point = np.tile((0.02, -0.015, 0.5, 0.002), m + 1) if z is None else np.asarray(z, dtype=float)
+    point = np.tile((0.02, -0.015, 0.5, 0.002), m + 1)
 
     def run(bet: tuple[float, ...]) -> TangencyReport:
         p = HullWhiteStackParams(base.sigma, base.a, bet)
         family = build_modified_ns_family(p, strategy=2)
         spec = single_factor_spec(p.sigma, p.a, p.beta)
-        return tangency_residual(family, spec, point, grid, threshold=tolerance)
+        return tangency_residual(family, spec, point, threshold=tolerance)
 
     main = run(beta)
     control = run(tuple(1.1 * b for b in beta)) if m else None

@@ -54,9 +54,10 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_tolerance_overrides_must_be_positive():
-    config = cli.RunConfig(command="check", options={"tolerance": "-1.0"})
-    with pytest.raises(cli.ConfigError):
-        config.get_float("tolerance", 1e-4)
+    for value in ("-1.0", "nan", "inf"):
+        config = cli.RunConfig(command="check", options={"tolerance": value})
+        with pytest.raises(cli.ConfigError, match="tolerance"):
+            config.get_float("tolerance", 1e-4)
 
 
 def test_exit_code_constants():
@@ -137,19 +138,51 @@ def test_solver_failure_exits_with_numerical_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-def test_solver_failure_prints_one_stderr_line_in_a_process(tmp_path):
-    # pytest records warnings apart from stderr, so only a real process shows
-    # numpy's floating-point RuntimeWarnings on the way to the error line.
-    bad = overflowing_dataset(tmp_path)
+def run_process(*argv) -> subprocess.CompletedProcess:
+    """The CLI in its own process.  pytest records warnings apart from
+    stderr, so only a real process shows numpy's floating-point
+    RuntimeWarnings on the way to an error line."""
     src_root = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src_root, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mchjm.cli", "calibrate", "--dataset", str(bad),
-         "--out", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, "-m", "mchjm.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_solver_failure_prints_one_stderr_line_in_a_process(tmp_path):
+    bad = overflowing_dataset(tmp_path)
+    proc = run_process("calibrate", "--dataset", str(bad), "--out", str(tmp_path / "o"))
     assert proc.returncode == 5
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("argv, code, in_process", [
+    # non-finite numbers in options
+    ("check --family ns-strategy1 --set sigma=inf,0.1,0.1", 2, True),
+    ("check --family cdv-example --set beta_slope=nan,0.4", 2, True),
+    ("check --family hw3-constant-vol --set a=nan,0.6,0.9", 2, True),
+    ("check --family ns-strategy2 --set tolerance=nan", 2, True),
+    ("simulate --horizon inf", 2, True),
+    ("simulate --dt nan", 2, True),
+    # settings the commands cannot run with
+    ("check --family hw3-constant-vol --depth 9", 2, True),
+    ("check --family hw3-constant-vol --states 0", 2, True),
+    ("simulate --paths 5", 2, True),
+    ("check --family ns-plain --set a=1e-9", 5, True),
+    # an overflowing martingale statistic, and no numpy warning before its line
+    ("simulate --set sigma=1e200,0.1,0.1 --paths 100 --horizon 0.02 --dt 0.01", 5, False),
+])
+def test_bad_settings_exit_with_one_error_line(tmp_path, capsys, argv, code, in_process):
+    args = [*argv.split(), "--out", str(tmp_path / "o")]
+    if in_process:
+        capsys.readouterr()
+        assert run(*args) == code
+        err = capsys.readouterr().err
+    else:
+        proc = run_process(*args)
+        assert proc.returncode == code
+        err = proc.stderr
+    assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_read_dataset_requires_contiguous_dates(tmp_path):

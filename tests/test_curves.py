@@ -11,7 +11,6 @@ from mchjm import qe
 from mchjm.curves import (
     AnalyticCurve,
     MultiCurveState,
-    SampledCurve,
     TenorStructure,
     bond_price,
     implied_risk_sensitive_rate,
@@ -47,28 +46,6 @@ def test_yield_of_flat_curve_is_the_rate():
         assert yield_value(c, x) == pytest.approx(0.03, rel=1e-13)
     with pytest.raises(ValueError):
         yield_value(c, 0.0)
-
-
-def test_sampled_curve_interpolation_and_flat_extrapolation():
-    g = np.array([0.0, 1.0, 2.0])
-    v = np.array([0.01, 0.03, 0.02])
-    c = SampledCurve(g, v)
-    assert c.value(0.5) == pytest.approx(0.02)
-    assert c.value(5.0) == pytest.approx(0.02)     # flat right
-    assert c.value(-1.0) == pytest.approx(0.01)    # flat left
-    # trapezoid integral: int_0^2 = 0.02 + 0.025; beyond: flat at 0.02
-    assert c.integral(2.0) == pytest.approx(0.045)
-    assert c.integral(3.0) == pytest.approx(0.065)
-    # partial cell: int_0^0.5 of linear ramp 0.01 -> 0.02
-    assert c.integral(0.5) == pytest.approx(0.5 * 0.5 * (0.01 + 0.02))
-
-
-def test_sampled_matches_analytic_on_fine_grid():
-    c = ns_curve(0.02, -0.008, 0.003, 0.4)
-    g = np.linspace(0.0, 10.0, 4001)
-    s = SampledCurve(g, c.value(g))
-    for x in (0.3, 1.7, 6.25, 9.9):
-        assert s.integral(x) == pytest.approx(c.integral(x), abs=1e-8)
 
 
 def test_yield_curve_roundtrip_by_differentiation():
@@ -138,6 +115,8 @@ def test_state_validation():
     c = ns_curve(0.02, 0.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         MultiCurveState((c, c), np.array([0.1, 0.2]))
+    with pytest.raises(TypeError, match="AnalyticCurve"):
+        MultiCurveState((c, qe.nelson_siegel(0.02, 0.0, 0.0, 0.5)), np.array([0.1]))
     with pytest.raises(ValueError):
         TenorStructure((0.5, 0.25))
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mchjm import dynamics, qe
-from mchjm.curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState, SampledCurve
+from mchjm.curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState
 from mchjm.dynamics import (
     ConstantDirectionVolSpec,
     ConstantVolSpec,
@@ -34,6 +34,11 @@ def ns_state(y=(0.02, -0.008, 0.003), rates=(0.5, 0.55, 0.6), spreads=(0.002, 0.
     return MultiCurveState(curves, np.array(spreads))
 
 
+def curve_values(vector):
+    """The curve components of a tangent vector on the default grid, (m+1, nx)."""
+    return np.stack([qe.evaluate(f, DEFAULT_GRID) for f in vector.curves])
+
+
 # ---------------------------------------------------------------------------
 # drift formulas
 # ---------------------------------------------------------------------------
@@ -50,7 +55,7 @@ def test_ito_drift_hull_white_closed_form():
         Fr = qe.evaluate(qe.derive(state.curves[j].func), xs)
         hjm = (sig[j] ** 2 / a[j]) * np.exp(-a[j] * xs) * (1 - np.exp(-a[j] * xs))
         want = Fr + hjm - bet[j] * sig[j] * np.exp(-a[j] * xs)
-        np.testing.assert_allclose(drift.curves[j].value(xs), want, rtol=1e-11, atol=1e-14)
+        np.testing.assert_allclose(qe.evaluate(drift.curves[j], xs), want, rtol=1e-11, atol=1e-14)
 
 
 def test_spread_drift_identity_exact():
@@ -73,7 +78,7 @@ def test_zero_volatility_drift_is_pure_transport():
     xs = np.linspace(0.0, 8.0, 50)
     for j in range(3):
         np.testing.assert_allclose(
-            drift.curves[j].value(xs),
+            qe.evaluate(drift.curves[j], xs),
             qe.evaluate(qe.derive(state.curves[j].func), xs),
             atol=1e-15,
         )
@@ -90,7 +95,7 @@ def test_stratonovich_equals_ito_for_constant_vol():
     b = stratonovich_drift(state, spec)
     xs = np.linspace(0.0, 9.0, 60)
     for j in range(3):
-        np.testing.assert_array_equal(a.curves[j].value(xs), b.curves[j].value(xs))
+        np.testing.assert_array_equal(qe.evaluate(a.curves[j], xs), qe.evaluate(b.curves[j], xs))
     np.testing.assert_array_equal(a.spreads, b.spreads)
 
 
@@ -120,7 +125,7 @@ def test_constant_loadings_match_constant_vol_spec():
     state = ns_state()
     for drift in (ito_drift, stratonovich_drift):
         got, want = drift(state, cdv), drift(state, cv)
-        got_x, want_x = got.curve_values(DEFAULT_GRID), want.curve_values(DEFAULT_GRID)
+        got_x, want_x = curve_values(got), curve_values(want)
         assert np.max(np.abs(got_x - want_x)) <= 1e-14 * np.max(np.abs(want_x))
         np.testing.assert_allclose(got.spreads, want.spreads, rtol=1e-14, atol=0.0)
 
@@ -160,7 +165,7 @@ def test_cdv_ito_drift_hand_expansion():
             want = want - 0.3 * y1 * sig[1] * np.exp(-a[1] * xs)
         if j == 2:
             want = want - 0.25 * y2 * sig[2] * np.exp(-a[2] * xs)
-        np.testing.assert_allclose(drift.curves[j].value(xs), want, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(qe.evaluate(drift.curves[j], xs), want, rtol=1e-10, atol=1e-14)
     r0 = state.curves[0].value(0.0)
     want_1 = r0 - state.curves[1].value(0.0) - 0.5 * (0.2**2 + (0.3 * y1) ** 2)
     want_2 = r0 - state.curves[2].value(0.0) - 0.5 * (0.15**2 + (0.25 * y2) ** 2)
@@ -181,19 +186,7 @@ def test_cdv_stratonovich_spread_correction_hand_expansion():
     ito = ito_drift(state, spec)
     xs = np.linspace(0.0, 6.0, 25)
     for j in range(3):
-        np.testing.assert_allclose(strat.curves[j].value(xs), ito.curves[j].value(xs), atol=1e-15)
-
-
-def test_drifts_need_analytic_curves():
-    grid = np.linspace(0.0, 10.0, 21)
-    sampled = MultiCurveState(
-        tuple(SampledCurve(grid, np.full(21, r)) for r in (0.02, 0.025, 0.03)),
-        np.array([0.002, 0.004]),
-    )
-    for spec in (hull_white_three_curve_spec(**THETA0), _cdv_example_spec()):
-        for drift in (ito_drift, stratonovich_drift):
-            with pytest.raises(TypeError):
-                drift(sampled, spec)
+        np.testing.assert_allclose(qe.evaluate(strat.curves[j], xs), qe.evaluate(ito.curves[j], xs), atol=1e-15)
 
 
 def test_one_curve_constant_direction_spec():
@@ -205,7 +198,7 @@ def test_one_curve_constant_direction_spec():
     state = MultiCurveState((curve,), np.zeros(0))
     for drift in (ito_drift, stratonovich_drift):
         got, want = drift(state, cdv), drift(state, cv)
-        got_x, want_x = got.curve_values(DEFAULT_GRID), want.curve_values(DEFAULT_GRID)
+        got_x, want_x = curve_values(got), curve_values(want)
         assert np.max(np.abs(got_x - want_x)) <= 1e-14 * np.max(np.abs(want_x))
         assert got.spreads.shape == (0,)
     cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=5, seed=3, grid=np.linspace(0.0, 4.0, 41))
@@ -390,6 +383,9 @@ def test_sim_config_validation():
         SimConfig(dt=0.01, horizon=0.105, n_paths=1)  # horizon not a multiple
     with pytest.raises(ValueError):
         SimConfig(dt=0.01, horizon=0.1, n_paths=1, grid=np.array([0.0, 0.1, 0.15]))
+    for dt, horizon in ((math.nan, 0.1), (0.01, math.nan), (0.01, math.inf), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(dt=dt, horizon=horizon, n_paths=1)
     cfg = SimConfig(dt=0.01, horizon=0.1, n_paths=1)
     assert cfg.record_steps(None) == ((0.1,), [10])
     with pytest.raises(ValueError):

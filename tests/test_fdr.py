@@ -168,7 +168,8 @@ def check_tangency(real, spec, states, x_eval, atol):
         mu = dynamics.stratonovich_drift(state, spec)
         lhs_curves = np.einsum("k,kjx->jx", a, cc)
         lhs_spreads = cs.T @ a
-        np.testing.assert_allclose(lhs_curves, mu.curve_values(x_eval), atol=atol)
+        mu_curves = np.stack([qe.evaluate(f, x_eval) for f in mu.curves])
+        np.testing.assert_allclose(lhs_curves, mu_curves, atol=atol)
         np.testing.assert_allclose(lhs_spreads, mu.spreads, atol=atol)
 
         sig_fields, beta_vals = dynamics.sigma_fields(spec, state)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mchjm import fdr, qe
 from mchjm import geometry as geo
-from mchjm.curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState, SampledCurve
+from mchjm.curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState, TangentVector
 from mchjm.dynamics import (
     ConstantDirectionVolSpec,
     ConstantVolSpec,
@@ -51,26 +51,15 @@ def cdv_state():
 
 
 def test_tangent_vector_arithmetic():
-    u = geo.TangentVector((qe.constant(1.0), qe.exponential(2.0, -0.5)), np.array([0.3]))
-    v = geo.TangentVector((qe.constant(-0.5), qe.constant(0.0)), np.array([1.0]))
+    u = TangentVector((qe.constant(1.0), qe.exponential(2.0, -0.5)), np.array([0.3]))
+    v = TangentVector((qe.constant(-0.5), qe.constant(0.0)), np.array([1.0]))
     grid = np.linspace(0.0, 5.0, 11)
     np.testing.assert_allclose((u + v - v).values(grid), u.values(grid), atol=1e-15)
     np.testing.assert_allclose((2.0 * u).values(grid), 2.0 * u.values(grid), atol=1e-15)
     assert u.sup_norm(grid) == pytest.approx(2.0)
-    w = geo.TangentVector((qe.constant(1.0),), np.array([0.0]))
+    w = TangentVector((qe.constant(1.0),), np.array([0.0]))
     with pytest.raises(ValueError):
         u + w
-
-
-def test_perturbed_state_requires_analytic_curves():
-    grid = np.linspace(0.0, 10.0, 21)
-    state = MultiCurveState(
-        (SampledCurve(grid, np.full(21, 0.02)),),
-        np.zeros(0),
-    )
-    direction = geo.TangentVector((qe.constant(1.0),), np.zeros(0))
-    with pytest.raises(TypeError):
-        geo.perturbed_state(state, direction, 1e-3)
 
 
 def test_bracket_with_itself_and_constants_vanish():
@@ -79,8 +68,8 @@ def test_bracket_with_itself_and_constants_vanish():
     mu, _ = geo.model_fields(spec)
     assert geo.lie_bracket_numeric(mu, mu, state).sup_norm(DEFAULT_GRID) < 1e-14
 
-    c1 = geo.TangentVector(tuple(qe.constant(v) for v in (1.0, 2.0, -1.0)), np.array([0.5, 0.1]))
-    c2 = geo.TangentVector(tuple(qe.exponential(1.0, -a) for a in A), np.array([0.0, 1.0]))
+    c1 = TangentVector(tuple(qe.constant(v) for v in (1.0, 2.0, -1.0)), np.array([0.5, 0.1]))
+    c2 = TangentVector(tuple(qe.exponential(1.0, -a) for a in A), np.array([0.0, 1.0]))
     br = geo.lie_bracket_numeric(lambda s: c1, lambda s: c2, state)
     assert br.sup_norm(DEFAULT_GRID) < 1e-14
 
@@ -119,16 +108,16 @@ def test_jacobi_identity_on_smooth_fields():
 
     def u(state):
         p, q = short_rate(state), float(state.log_spreads[0])
-        return geo.TangentVector((b0 * (p * q), b1, b2 * q), np.array([p, 1.0]))
+        return TangentVector((b0 * (p * q), b1, b2 * q), np.array([p, 1.0]))
 
     def v(state):
-        return geo.TangentVector(
+        return TangentVector(
             (b1 * float(state.log_spreads[0]), b2, b0), np.array([0.3, short_rate(state)])
         )
 
     def w(state):
         p, q = short_rate(state), float(state.log_spreads[1])
-        return geo.TangentVector((b2, b0 * p, b1 * q), np.array([q, -0.5]))
+        return TangentVector((b2, b0 * p, b1 * q), np.array([q, -0.5]))
 
     state = hw3_state()
 
@@ -159,7 +148,7 @@ def test_span_ladder_constant_vol():
 
 def test_span_guards_and_degenerate_inputs():
     state = hw3_state()
-    zero = geo.TangentVector(tuple(qe.QEFunction(()) for _ in range(3)), np.zeros(2))
+    zero = TangentVector(tuple(qe.QEFunction(()) for _ in range(3)), np.zeros(2))
     assert geo.span_dimension_estimate([lambda s: zero], state, 2) == 0
     assert geo.span_dimension_estimate([], state, 1) == 0
     spec = hull_white_three_curve_spec(SIG, A, BET)
@@ -200,7 +189,7 @@ def test_commutation_cdv_spread_coupling_detected():
     # hand oracle: the second diffusion field has spread loading bs1 * Y^1,
     # so its bracket with the Y^1 direction is (0 curves, (bs1, 0))
     _, sigs = geo.model_fields(spec)
-    gamma1 = geo.TangentVector(tuple(qe.QEFunction(()) for _ in range(3)), np.array([1.0, 0.0]))
+    gamma1 = TangentVector(tuple(qe.QEFunction(()) for _ in range(3)), np.array([1.0, 0.0]))
     br = geo.lie_bracket_numeric(sigs[1], lambda s: gamma1, state)
     np.testing.assert_allclose(br.spreads, [CDV_BS[0], 0.0], atol=1e-9)
     for c in br.curves:

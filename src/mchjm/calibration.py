@@ -53,7 +53,6 @@ __all__ = [
     "residual",
     "inner_solve",
     "outer_calibrate",
-    "model_observables",
     "error_metrics",
     "window_sweep",
     "stability_analysis",
@@ -232,14 +231,18 @@ class MarketSnapshot:
 
 @dataclass(frozen=True)
 class DayFit:
-    """One day of a calibration: linear variables, residual norm and the
-    rank of the day's design matrix (7 when the day is fully determined)."""
+    """One day of a calibration: linear variables, residual norm, the rank
+    of the day's design matrix (7 when the day is fully determined) and the
+    fitted model yields (3, n) and log-spreads (2,), the constant day-0
+    log-spread offsets included."""
 
     date: int
     z1: np.ndarray
     y: np.ndarray
     residual_norm: float
     rank: int
+    yields: np.ndarray
+    spreads: np.ndarray
 
     @property
     def rank_deficient(self) -> bool:
@@ -270,7 +273,6 @@ class CalibrationResult:
     per_day: tuple[DayFit, ...]
     total_sse: float
     diagnostics: Diagnostics
-    base_spreads: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -345,15 +347,10 @@ def residual(
         raise ValueError("z1 must have shape (4,)")
     if y.shape != (3,):
         raise ValueError("y must have shape (3,)")
-    base = _base_spreads(snapshot, base_spreads)
-    Wz, Wy, c = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta, _elapsed(snapshot),
-                                           snapshot.maturities)
-    model = Wz @ z1 + Wy @ y + c
-    n = snapshot.n
-    out = np.empty(3 * n + 2)
-    out[: 3 * n] = snapshot.yields().ravel() - model[: 3 * n]
-    out[3 * n:] = model[3 * n:] + base - snapshot.log_spreads
-    return out
+    coeffs = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta, _elapsed(snapshot),
+                                        snapshot.maturities)
+    yields, spreads = fdr.hw3_observables(*coeffs, z1, y, _base_spreads(snapshot, base_spreads))
+    return np.concatenate([(snapshot.yields() - yields).ravel(), spreads - snapshot.log_spreads])
 
 
 def _market(snapshots: Sequence[MarketSnapshot]):
@@ -362,15 +359,15 @@ def _market(snapshots: Sequence[MarketSnapshot]):
             np.array([s.log_spreads for s in snapshots]))
 
 
-def _day_system(a, sig, beta, t, x, yields, log_spreads, base):
+def _day_system(Wz, Wy, c, yields, log_spreads, base):
     """Design matrices (K, 3n+2, 7) and offsets (K, 3n+2) of K days.
 
-    Day k's residual is ``A[k] @ u + c[k]`` for u = (z1, y); ``t`` holds the
-    days' running times and ``yields``, ``log_spreads`` their market data
-    as stacked by :func:`_market`, all on the one maturity grid ``x``.
+    Day k's residual is ``A[k] @ u + c[k]`` for u = (z1, y); ``Wz, Wy, c``
+    are the days' stacked :func:`fdr.hw3_affine_observables` and
+    ``yields``, ``log_spreads`` their market data as stacked by
+    :func:`_market`.
     """
-    Wz, Wy, c = fdr.hw3_affine_observables(a, sig, beta, t, x)
-    n3 = 3 * x.size
+    n3 = c.shape[1] - 2
     A = np.empty(Wz.shape[:2] + (7,))
     A[:, :n3, :4] = -Wz[:, :n3]
     A[:, :n3, 4:] = -Wy[:, :n3]
@@ -388,6 +385,22 @@ def _solve_day(A: np.ndarray, c: np.ndarray):
     return u, A @ u + c, int(rank)
 
 
+def _day_fits(snapshots: Sequence[MarketSnapshot], theta: Theta, base) -> tuple[DayFit, ...]:
+    """Every day's fit under ``theta``: one batched assembly of the days
+    (one maturity grid), then each day solved on its own."""
+    coeffs = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta,
+                                        np.array([_elapsed(s) for s in snapshots]),
+                                        snapshots[0].maturities)
+    A, c = _day_system(*coeffs, *_market(snapshots), base)
+    fits = []
+    for k, snap in enumerate(snapshots):
+        u, r, rank = _solve_day(A[k], c[k])
+        yields, spreads = fdr.hw3_observables(*(w[k] for w in coeffs), u[:4], u[4:], base)
+        fits.append(DayFit(snap.date, u[:4], u[4:], float(np.linalg.norm(r)), rank,
+                           yields, spreads))
+    return tuple(fits)
+
+
 def inner_solve(
     snapshot: MarketSnapshot,
     theta: Theta,
@@ -400,11 +413,7 @@ def inner_solve(
     values below ``1e-12 * s_max`` treated as zero.  A design matrix of
     rank < 7 yields the minimal-norm solution and sets ``rank_deficient``.
     """
-    A, c = _day_system(theta.a, theta.sigma, theta.beta, np.array([_elapsed(snapshot)]),
-                       snapshot.maturities, *_market([snapshot]),
-                       _base_spreads(snapshot, base_spreads))
-    u, r, rank = _solve_day(A[0], c[0])
-    return DayFit(snapshot.date, u[:4], u[4:], float(np.linalg.norm(r)), rank)
+    return _day_fits([snapshot], theta, _base_spreads(snapshot, base_spreads))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +456,8 @@ def outer_calibrate(
     warm-starting the next, before the full window is polished with a
     central-difference Jacobian.  Each objective call assembles the
     design matrices of all its days in one batch and then solves every day
-    on its own, so all snapshots must share one maturity grid
+    on its own, as does the final fit that fills ``per_day``, so all
+    snapshots must share one maturity grid
     (``CalibrationError`` otherwise).  Pass ``globalize=False`` to skip the
     continuation when ``theta0`` is already a warm start (e.g. rolled
     windows); only the full-window polish runs then.  The final stage
@@ -481,7 +491,7 @@ def outer_calibrate(
             nonlocal nfev
             nfev += 1
             a, sig, beta = _split(vec)
-            A, c = _day_system(a, sig, beta, t, mats, ys, ls, base)
+            A, c = _day_system(*fdr.hw3_affine_observables(a, sig, beta, t, mats), ys, ls, base)
             out = np.empty(c.shape)
             for k in range(len(t)):
                 _, out[k], _ = _solve_day(A[k], c[k])
@@ -517,13 +527,8 @@ def outer_calibrate(
     except ValueError as exc:
         raise CalibrationError(f"calibrated parameters are degenerate: {exc}") from exc
 
-    per_day = []
-    sse = 0.0
-    for snap in snapshots:
-        fit = inner_solve(snap, theta_star, base_spreads=base)
-        per_day.append(fit)
-        sse += fit.residual_norm ** 2
-
+    per_day = _day_fits(snapshots, theta_star, base)
+    sse = sum(f.residual_norm ** 2 for f in per_day)
     svals = np.linalg.svd(res.jac, compute_uv=False)
     cond = float("inf") if svals[-1] == 0.0 else float(svals[0] / svals[-1])
     diag = Diagnostics(
@@ -538,30 +543,15 @@ def outer_calibrate(
     )
     return CalibrationResult(
         theta_star=theta_star,
-        per_day=tuple(per_day),
+        per_day=per_day,
         total_sse=float(sse),
         diagnostics=diag,
-        base_spreads=np.asarray(base, dtype=float),
     )
 
 
 # ---------------------------------------------------------------------------
 # error metrics and experiment drivers
 # ---------------------------------------------------------------------------
-
-
-def model_observables(theta: Theta, snapshot: MarketSnapshot, z1, y, base_spreads):
-    """Model yields (3, n) and log-spreads (2,) on the snapshot's day.
-
-    ``z1`` and ``y`` are the day's linear variables (a :class:`DayFit`'s
-    fields) and ``base_spreads`` the constant day-0 log-spread offsets.
-    """
-    x = snapshot.maturities
-    Wz, Wy, c = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta,
-                                           _elapsed(snapshot), x)
-    vals = Wz @ np.asarray(z1, float) + Wy @ np.asarray(y, float) + c
-    n = x.size
-    return vals[: 3 * n].reshape(3, n), vals[3 * n:] + base_spreads
 
 
 def error_metrics(result: CalibrationResult, snapshots: Sequence[MarketSnapshot]) -> ErrorMetrics:
@@ -577,13 +567,9 @@ def error_metrics(result: CalibrationResult, snapshots: Sequence[MarketSnapshot]
         s.date != f.date for s, f in zip(snapshots, result.per_day)
     ):
         raise CalibrationError("snapshots do not match the calibration result")
-    theta = result.theta_star
-    base = result.base_spreads
 
-    last = snapshots[-1]
-    fit = result.per_day[-1]
-    model_y, _ = model_observables(theta, last, fit.z1, fit.y, base)
-    mkt_y = last.yields()
+    model_y = result.per_day[-1].yields
+    mkt_y = snapshots[-1].yields()
     yerr = np.empty(3)
     for j in range(3):
         denom = np.linalg.norm(mkt_y[j])
@@ -594,22 +580,17 @@ def error_metrics(result: CalibrationResult, snapshots: Sequence[MarketSnapshot]
     num = np.zeros(2)
     den = np.zeros(2)
     for snap, f in zip(snapshots, result.per_day):
-        _, model_s = model_observables(theta, snap, f.z1, f.y, base)
-        num += (model_s - snap.log_spreads) ** 2
+        num += (f.spreads - snap.log_spreads) ** 2
         den += snap.log_spreads ** 2
     if np.any(den == 0.0):
         raise CalibrationError("market log-spread series has zero norm")
     return ErrorMetrics(yield_errors=yerr, spread_errors=np.sqrt(num / den))
 
 
-def _spread_end_errors(result: CalibrationResult, window: Sequence[MarketSnapshot]) -> np.ndarray:
-    last = window[-1]
-    fit = result.per_day[-1]
-    _, model_s = model_observables(result.theta_star, last, fit.z1, fit.y,
-                                   result.base_spreads)
+def _spread_end_errors(fit: DayFit, last: MarketSnapshot) -> np.ndarray:
     if np.any(last.log_spreads == 0.0):
         raise CalibrationError("end-of-window log-spread is zero")
-    return np.abs(model_s - last.log_spreads) / np.abs(last.log_spreads)
+    return np.abs(fit.spreads - last.log_spreads) / np.abs(last.log_spreads)
 
 
 def window_sweep(
@@ -650,7 +631,7 @@ def window_sweep(
         rows.append(SweepRow(
             months=int(months), start_date=window[0].date, end_date=end_date,
             theta_star=result.theta_star, yield_errors=metrics.yield_errors,
-            spread_end_errors=_spread_end_errors(result, window),
+            spread_end_errors=_spread_end_errors(result.per_day[-1], window[-1]),
             converged=result.diagnostics.converged, skipped=False,
         ))
     return tuple(rows)
@@ -779,14 +760,10 @@ def synthesize_market_data(
     snapshots = []
     for d in range(days):
         a, sig, beta = params_at(d)
-        t = d / DAYS_PER_YEAR
-        Wz, Wy, c = fdr.hw3_affine_observables(a, sig, beta, t, x)
-        vals = Wz @ states[d, 1:] + Wy @ y + c
-        n = x.size
-        yields = vals[: 3 * n].reshape(3, n).copy()
-        spreads = vals[3 * n:] + ym
+        coeffs = fdr.hw3_affine_observables(a, sig, beta, d / DAYS_PER_YEAR, x)
+        yields, spreads = fdr.hw3_observables(*coeffs, states[d, 1:], y, ym)
         if noise_sd > 0:
-            yields += rng.normal(0.0, noise_sd, size=(3, n))
+            yields = yields + rng.normal(0.0, noise_sd, size=(3, x.size))
             spreads = spreads + rng.normal(0.0, noise_sd, size=2)
         snapshots.append(MarketSnapshot(
             date=d, maturities=x, bonds=np.exp(-x * yields), log_spreads=spreads,

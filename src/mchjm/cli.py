@@ -187,6 +187,13 @@ class RunConfig:
             ) from exc
 
 
+def _count(key: str, value: int) -> int:
+    """The value of option ``key``, which counts something, so at least 1."""
+    if value < 1:
+        raise ConfigError(f"option {key!r} must be at least 1, got {value}")
+    return value
+
+
 def _merge_run_config(args: argparse.Namespace) -> RunConfig:
     options: dict[str, str] = {}
     if args.config is not None:
@@ -451,10 +458,10 @@ def cmd_synth(config: RunConfig) -> None:
 def cmd_calibrate(config: RunConfig) -> None:
     """Calibrate the dataset and emit theta, state, error and plot tables."""
     snapshots = _require_dataset(config)
+    theta0 = _theta_from(config, "theta0", cal.DEFAULT_THETA0)
+    max_iterations = _count("max_iterations", config.get_int("max_iterations", 200))
     if len(snapshots) < 2:
         raise InsufficientDataError("calibration needs at least two days of data")
-    theta0 = _theta_from(config, "theta0", cal.DEFAULT_THETA0)
-    max_iterations = config.get_int("max_iterations", 200)
     with _solver_failures():
         with np.errstate(all="ignore"):
             result = cal.outer_calibrate(snapshots, theta0,
@@ -481,9 +488,7 @@ def cmd_calibrate(config: RunConfig) -> None:
     ])
 
     last = snapshots[-1]
-    fit = result.per_day[-1]
-    model_y, _ = cal.model_observables(result.theta_star, last, fit.z1, fit.y,
-                                       result.base_spreads)
+    model_y = result.per_day[-1].yields
     market_y = last.yields()
     _write_csv(
         out / "yields_fit.csv",
@@ -494,16 +499,15 @@ def cmd_calibrate(config: RunConfig) -> None:
             for k, x in enumerate(last.maturities)
         ],
     )
-    rows = []
-    for snap, f in zip(snapshots, result.per_day):
-        _, model_s = cal.model_observables(result.theta_star, snap, f.z1, f.y,
-                                           result.base_spreads)
-        rows.extend(
-            (snap.date, tenor, _fmt(snap.log_spreads[tenor - 1]), _fmt(model_s[tenor - 1]))
+    _write_csv(
+        out / "spreads_fit.csv",
+        "date_index,tenor_id,market_log_spread,fitted_log_spread",
+        [
+            (snap.date, tenor, _fmt(snap.log_spreads[tenor - 1]), _fmt(f.spreads[tenor - 1]))
+            for snap, f in zip(snapshots, result.per_day)
             for tenor in (1, 2)
-        )
-    _write_csv(out / "spreads_fit.csv",
-               "date_index,tenor_id,market_log_spread,fitted_log_spread", rows)
+        ],
+    )
 
     flag = " (weakly identified)" if result.diagnostics.weakly_identified else ""
     print(f"calibrated {len(snapshots)} days: sse {result.total_sse:.6e}, "
@@ -547,9 +551,7 @@ def cmd_check(config: RunConfig) -> None:
     family = config.get_str("family")
     if family is None:
         raise ConfigError("check requires --family")
-    n_states = config.get_int("states", 1)
-    if n_states < 1:
-        raise ConfigError(f"option 'states' must be at least 1, got {n_states}")
+    n_states = _count("states", config.get_int("states", 1))
     with _geometry_failures():
         rows, summary = _check_family(config, family, n_states)
     _write_csv(config.out / "check_report.csv", "kind,name,value,verdict", rows)
@@ -601,6 +603,9 @@ def _check_family(config: RunConfig, family: str,
             rows.append(("span_dimension", f"state_{k}", _fmt(dim), ""))
             summary.append(f"span dimension at state {k}: {dim}")
     elif family in ("ns-plain", "ns-strategy1", "ns-strategy2"):
+        for key in ("depth", "states"):
+            if key in config.options:
+                raise ConfigError(f"family {family!r} takes no option {key!r}")
         if family == "ns-plain":
             sigma = config.get_floats("sigma", CHECK_SIGMA[:1], 1)
             a = config.get_floats("a", CHECK_A[:1], 1)
@@ -645,8 +650,8 @@ def cmd_stability(config: RunConfig) -> None:
     """Rolling-window calibration statistics."""
     dataset = _require_dataset(config)
     theta0 = _theta_from(config, "theta0", cal.DEFAULT_THETA0)
-    window_months = config.get_int("window_months", 4)
-    rolls = config.get_int("rolls", 50)
+    window_months = _count("window_months", config.get_int("window_months", 4))
+    rolls = _count("rolls", config.get_int("rolls", 50))
     needed = cal.TRADING_DAYS_PER_MONTH * window_months + rolls
     if len(dataset) < needed:
         raise InsufficientDataError(
@@ -669,7 +674,7 @@ def cmd_sweep(config: RunConfig) -> None:
     """Window-length sweep ending at a fixed date."""
     dataset = _require_dataset(config)
     theta0 = _theta_from(config, "theta0", cal.DEFAULT_THETA0)
-    lengths = config.get_ints("lengths", (1, 2, 3, 4, 5, 6))
+    lengths = tuple(_count("lengths", v) for v in config.get_ints("lengths", (1, 2, 3, 4, 5, 6)))
     end_date = config.get_int("end_date", dataset[-1].date)
     if not any(s.date == end_date for s in dataset):
         raise InsufficientDataError(f"dataset does not contain end_date {end_date}")

@@ -13,7 +13,8 @@ process ``Z`` in R^n together with an embedding ``G`` such that
   spread-dependent volatility direction fields (three factors);
 * :func:`hw3_affine_observables` — the three-curve model's yields and
   log-spreads as affine maps of its factor block and curve level, the
-  closed form that calibration and data synthesis evaluate;
+  closed form that calibration and data synthesis evaluate, and
+  :func:`hw3_observables`, one day's yields and log-spreads from it;
 * :func:`simulate_state` — a Heun (Stratonovich) integrator for the state
   process that steps all paths as one batch, couplable to
   :func:`~mchjm.dynamics.simulate_hjm` through shared Brownian increments;
@@ -56,6 +57,7 @@ __all__ = [
     "build_cdv_example_fdr",
     "cdv_example_spec",
     "hw3_affine_observables",
+    "hw3_observables",
     "heun_step",
     "simulate_state",
     "BenchmarkSystem",
@@ -357,6 +359,18 @@ def hw3_affine_observables(a, sig, beta, t, x: np.ndarray):
     if t.ndim == 0:
         return Wz[0], Wy[0], c[0]
     return Wz, Wy, c
+
+
+def hw3_observables(Wz, Wy, c, q, y, initial_spreads):
+    """Model yields (3, n) and log-spreads (2,) of one day.
+
+    ``(Wz, Wy, c)`` are the day's coefficients from
+    :func:`hw3_affine_observables`, ``q`` and ``y`` its factor block and
+    curve level, and ``initial_spreads`` the constant offsets ``y^M``.
+    """
+    vals = Wz @ q + Wy @ y + c
+    n3 = vals.size - 2
+    return vals[:n3].reshape(3, -1), vals[n3:] + initial_spreads
 
 
 def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence[float]) -> FDRRealization:

@@ -1,5 +1,6 @@
 """Variable-projection calibration: residuals, inner/outer solves, drivers."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -302,8 +303,9 @@ def test_outer_calibrate_objective_equals_per_day_loop(monkeypatch):
         parts = []
         for k in idx:
             snap = snaps[k]
-            A, c = cal._day_system(a, sig, beta, np.array([snap.date / cal.DAYS_PER_YEAR]),
-                                   snap.maturities, *cal._market([snap]), base)
+            coeffs = fdr.hw3_affine_observables(
+                a, sig, beta, np.array([snap.date / cal.DAYS_PER_YEAR]), snap.maturities)
+            A, c = cal._day_system(*coeffs, *cal._market([snap]), base)
             _, r, _ = cal._solve_day(A[0], c[0])
             parts.append(r)
         return np.concatenate(parts)
@@ -322,6 +324,24 @@ def test_outer_calibrate_requires_shared_maturity_grid():
                                last.log_spreads)
     with pytest.raises(CalibrationError, match="maturity grid"):
         cal.outer_calibrate(snaps, SEP_THETA)
+
+
+def test_post_fit_equals_per_day_inner_solve():
+    # The post-fit assembles all days in one batch; each day's fit must be
+    # the one inner_solve finds for that day alone, bit for bit, and its
+    # fitted observables those of the residual map at its (z1, y).
+    snaps = short_dataset(10, seed=5, noise_sd=1e-4)
+    result = cal.outer_calibrate(snaps, Theta.from_array(SEP_THETA.as_array() * 1.05),
+                                 globalize=False)
+    base = snaps[0].log_spreads
+    assert len(result.per_day) == len(snaps)
+    for snap, fit in zip(snaps, result.per_day):
+        alone = cal.inner_solve(snap, result.theta_star, base_spreads=base)
+        for field in dataclasses.fields(cal.DayFit):
+            assert np.array_equal(getattr(fit, field.name), getattr(alone, field.name)), field
+        r = cal.residual(snap, result.theta_star, fit.z1, fit.y, base_spreads=base)
+        assert np.array_equal(r, np.r_[(snap.yields() - fit.yields).ravel(),
+                                       fit.spreads - snap.log_spreads])
 
 
 def test_day_fits_keep_design_rank():
@@ -503,8 +523,9 @@ def test_model_observables_match_realization_embedding():
     real = fdr.build_hw3_fdr(params, tuple(Y_NS), np.array(YM0))
     z = states[d]
 
-    yields, spreads = cal.model_observables(
-        SEP_THETA, snaps[d], states[d, 1:], Y_NS, np.array(YM0))
+    coeffs = fdr.hw3_affine_observables(SEP_THETA.a, SEP_THETA.sigma, SEP_THETA.beta,
+                                        snaps[d].date / cal.DAYS_PER_YEAR, snaps[d].maturities)
+    yields, spreads = fdr.hw3_observables(*coeffs, states[d, 1:], Y_NS, np.array(YM0))
 
     np.testing.assert_allclose(spreads, real.embed_spreads(z), atol=1e-12)
     for k in (0, 8, 16):

@@ -169,11 +169,20 @@ def test_solver_failure_prints_one_stderr_line_in_a_process(tmp_path):
     ("check --family hw3-constant-vol --states 0", 2, True),
     ("simulate --paths 5", 2, True),
     ("check --family ns-plain --set a=1e-9", 5, True),
+    # counts below 1, and options a family does not take ({data}: a 30-day dataset)
+    ("calibrate --dataset {data} --max-iterations 0", 2, True),
+    ("stability --dataset {data} --rolls 0 --window-months 1", 2, True),
+    ("stability --dataset {data} --window-months 0 --rolls 5", 2, True),
+    ("sweep --dataset {data} --lengths -1", 2, True),
+    ("check --family ns-plain --depth 9 --states 4", 2, True),
+    ("check --family ns-strategy1 --depth 3", 2, True),
+    ("check --family ns-strategy2 --states 1", 2, True),
     # an overflowing martingale statistic, and no numpy warning before its line
     ("simulate --set sigma=1e200,0.1,0.1 --paths 100 --horizon 0.02 --dt 0.01", 5, False),
 ])
 def test_bad_settings_exit_with_one_error_line(tmp_path, capsys, argv, code, in_process):
-    args = [*argv.split(), "--out", str(tmp_path / "o")]
+    data = make_dataset(tmp_path, days=30) if "{data}" in argv else None
+    args = [*argv.format(data=data).split(), "--out", str(tmp_path / "o")]
     if in_process:
         capsys.readouterr()
         assert run(*args) == code

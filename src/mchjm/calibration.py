@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.optimize
+from numpy.linalg import _umath_linalg
 
 from . import fdr
 
@@ -232,15 +233,17 @@ class MarketSnapshot:
 @dataclass(frozen=True)
 class DayFit:
     """One day of a calibration: linear variables, residual norm, the rank
-    of the day's design matrix (7 when the day is fully determined) and the
-    fitted model yields (3, n) and log-spreads (2,), the constant day-0
-    log-spread offsets included."""
+    of the day's design matrix (7 when the day is fully determined), its
+    condition number s_max/s_min (``inf`` when s_min is 0) and the fitted
+    model yields (3, n) and log-spreads (2,), the constant day-0 log-spread
+    offsets included."""
 
     date: int
     z1: np.ndarray
     y: np.ndarray
     residual_norm: float
     rank: int
+    condition: float
     yields: np.ndarray
     spreads: np.ndarray
 
@@ -379,25 +382,46 @@ def _day_system(Wz, Wy, c, yields, log_spreads, base):
     return A, cfull
 
 
-def _solve_day(A: np.ndarray, c: np.ndarray):
-    """Least-squares u of one day, its residual ``A @ u + c`` and A's rank."""
-    u, _, rank, _ = np.linalg.lstsq(A, -c, rcond=_SVD_CUTOFF)
-    return u, A @ u + c, int(rank)
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _solve_days(A: np.ndarray, c: np.ndarray):
+    """Least-squares u (K, 7) of K days, their residuals ``A @ u + c``
+    (K, 3n+2), ranks (K,) and condition numbers s_max/s_min (K,), ``inf``
+    where s_min is 0.
+
+    One call of numpy's private ``lstsq`` gufunc (LAPACK ``dgelsd``, the
+    kernel behind ``np.linalg.lstsq``, whose public wrapper rejects stacks)
+    solves every day, with singular values below ``1e-12 * s_max`` treated
+    as zero; each day's result equals ``np.linalg.lstsq(A[k], -c[k],
+    rcond=1e-12)`` bit for bit.  A failed or non-finite solve raises
+    ``LinAlgError`` as the public wrapper does.  The gufunc's signature is
+    pinned by ``tests/test_calibration.py::test_lstsq_gufunc_signature``.
+    """
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        u, _, rank, s = _umath_linalg.lstsq(A, -c[..., None], _SVD_CUTOFF,
+                                            signature="ddd->ddid")
+    cond = np.full(rank.shape, np.inf)
+    np.divide(s[:, 0], s[:, -1], out=cond, where=s[:, -1] > 0.0)
+    return u[..., 0], np.matmul(A, u)[..., 0] + c, rank, cond
 
 
 def _day_fits(snapshots: Sequence[MarketSnapshot], theta: Theta, base) -> tuple[DayFit, ...]:
-    """Every day's fit under ``theta``: one batched assembly of the days
-    (one maturity grid), then each day solved on its own."""
+    """Every day's fit under ``theta``: one batched assembly and one
+    stacked solve of the days (one maturity grid)."""
     coeffs = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta,
                                         np.array([_elapsed(s) for s in snapshots]),
                                         snapshots[0].maturities)
     A, c = _day_system(*coeffs, *_market(snapshots), base)
+    u, r, rank, cond = _solve_days(A, c)
     fits = []
     for k, snap in enumerate(snapshots):
-        u, r, rank = _solve_day(A[k], c[k])
-        yields, spreads = fdr.hw3_observables(*(w[k] for w in coeffs), u[:4], u[4:], base)
-        fits.append(DayFit(snap.date, u[:4], u[4:], float(np.linalg.norm(r)), rank,
-                           yields, spreads))
+        z1, y = u[k, :4], u[k, 4:]
+        yields, spreads = fdr.hw3_observables(*(w[k] for w in coeffs), z1, y, base)
+        fits.append(DayFit(snap.date, z1, y, float(np.linalg.norm(r[k])), int(rank[k]),
+                           float(cond[k]), yields, spreads))
     return tuple(fits)
 
 
@@ -412,6 +436,8 @@ def inner_solve(
     The affine map ``Res(u) = A u + c`` is solved by SVD with singular
     values below ``1e-12 * s_max`` treated as zero.  A design matrix of
     rank < 7 yields the minimal-norm solution and sets ``rank_deficient``.
+    This is the one-day case of the stacked solve that ``outer_calibrate``
+    runs over all days at once.
     """
     return _day_fits([snapshot], theta, _base_spreads(snapshot, base_spreads))[0]
 
@@ -455,9 +481,9 @@ def outer_calibrate(
     sparse day subsets (endpoints, then geometrically denser grids), each
     warm-starting the next, before the full window is polished with a
     central-difference Jacobian.  Each objective call assembles the
-    design matrices of all its days in one batch and then solves every day
-    on its own, as does the final fit that fills ``per_day``, so all
-    snapshots must share one maturity grid
+    design matrices of all its days in one batch and solves them in one
+    stacked least-squares call, as does the final fit that fills
+    ``per_day``, so all snapshots must share one maturity grid
     (``CalibrationError`` otherwise).  Pass ``globalize=False`` to skip the
     continuation when ``theta0`` is already a warm start (e.g. rolled
     windows); only the full-window polish runs then.  The final stage
@@ -492,10 +518,7 @@ def outer_calibrate(
             nfev += 1
             a, sig, beta = _split(vec)
             A, c = _day_system(*fdr.hw3_affine_observables(a, sig, beta, t, mats), ys, ls, base)
-            out = np.empty(c.shape)
-            for k in range(len(t)):
-                _, out[k], _ = _solve_day(A[k], c[k])
-            return out.ravel()
+            return _solve_days(A, c)[1].ravel()
         return stacked
 
     def run(idx, x, jac, cap):
@@ -649,7 +672,8 @@ def stability_analysis(
     from ``theta0``; each subsequent roll is warm-started from the previous
     estimate (skipping the cold-start continuation).  Rolls whose outer
     iteration does not converge (or degenerates) are flagged and excluded
-    from the mean/std statistics.
+    from the mean/std statistics.  The next roll warm-starts from a roll's
+    estimate even when that roll's ``converged`` flag is False.
     """
     dataset = list(dataset)
     wlen = TRADING_DAYS_PER_MONTH * int(window_months)

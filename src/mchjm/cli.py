@@ -456,7 +456,8 @@ def cmd_synth(config: RunConfig) -> None:
 
 
 def cmd_calibrate(config: RunConfig) -> None:
-    """Calibrate the dataset and emit theta, state, error and plot tables."""
+    """Calibrate the dataset and emit theta, state, error, plot and
+    solver-diagnostics tables."""
     snapshots = _require_dataset(config)
     theta0 = _theta_from(config, "theta0", cal.DEFAULT_THETA0)
     max_iterations = _count("max_iterations", config.get_int("max_iterations", 200))
@@ -509,9 +510,22 @@ def cmd_calibrate(config: RunConfig) -> None:
         ],
     )
 
-    flag = " (weakly identified)" if result.diagnostics.weakly_identified else ""
+    diag = result.diagnostics
+    _write_csv(out / "diagnostics.csv", "key,value", sorted({
+        "nfev": diag.nfev,
+        "njev": diag.njev,
+        "status": diag.status,
+        "converged": diag.converged,
+        "weakly_identified": diag.weakly_identified,
+        "jacobian_condition": _fmt(diag.jacobian_condition),
+        "optimizer_sse": _fmt(diag.optimizer_sse),
+        "max_day_condition": _fmt(max(f.condition for f in result.per_day)),
+        "min_day_rank": min(f.rank for f in result.per_day),
+    }.items()))
+
+    flag = " (weakly identified)" if diag.weakly_identified else ""
     print(f"calibrated {len(snapshots)} days: sse {result.total_sse:.6e}, "
-          f"converged {result.diagnostics.converged}{flag}")
+          f"converged {diag.converged}{flag}")
     print("max yield error "
           f"{np.max(metrics.yield_errors):.6e}, max spread error "
           f"{np.max(metrics.spread_errors):.6e}; tables in {out}")
@@ -647,7 +661,7 @@ def _check_family(config: RunConfig, family: str,
 
 
 def cmd_stability(config: RunConfig) -> None:
-    """Rolling-window calibration statistics."""
+    """Rolling-window calibration statistics and per-roll estimates."""
     dataset = _require_dataset(config)
     theta0 = _theta_from(config, "theta0", cal.DEFAULT_THETA0)
     window_months = _count("window_months", config.get_int("window_months", 4))
@@ -665,6 +679,15 @@ def cmd_stability(config: RunConfig) -> None:
         (name, _fmt(m), _fmt(s))
         for name, m, s in zip(report.parameter_names, report.mean, report.std)
     ])
+    _write_csv(
+        config.out / "stability_rolls.csv",
+        "roll,start_date," + ",".join(report.parameter_names) + ",converged",
+        [
+            (k, dataset[k].date,
+             *(("",) * len(theta) if np.isnan(theta).any() else map(_fmt, theta)), ok)
+            for k, (theta, ok) in enumerate(zip(report.thetas, report.converged))
+        ],
+    )
     print(f"{report.n_used} of {rolls} rolls converged "
           f"({report.n_excluded} excluded); max std {np.max(report.std):.6e}; "
           f"table in {config.out}")

@@ -203,11 +203,66 @@ def test_fast_day_system_matches_literal_assembly():
         u = np.zeros(7)
         u[i] = 1.0
         A[:, i] = cal.residual(snap, SEP_THETA, u[:4], u[4:], base_spreads=base) - c
-    u, r, rank = cal._solve_day(A, c)
+    u, _, rank, _ = np.linalg.lstsq(A, -c, rcond=1e-12)
+    r = A @ u + c
     sol = cal.inner_solve(snap, SEP_THETA, base_spreads=base)
     assert rank == sol.rank
     assert abs(np.linalg.norm(r) - sol.residual_norm) < 1e-12
     assert np.max(np.abs(np.r_[sol.z1, sol.y] - u)) < 1e-9
+
+
+def test_lstsq_gufunc_signature():
+    # _solve_days calls numpy's private stacked least-squares kernel; a numpy
+    # that moves or reshapes it fails here rather than inside a calibration.
+    from numpy.linalg import _umath_linalg
+    assert _umath_linalg.lstsq.signature == "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)"
+
+
+def _design_stack():
+    rng = np.random.default_rng(19)
+    A = rng.normal(size=(5, 53, 7)) * np.logspace(0, -6, 7)
+    c = rng.normal(size=(5, 53))
+    A[3, :, 6] = A[3, :, 2]  # duplicated column: rank 6
+    A[4] = 0.0               # all-zero day: rank 0
+    return A, c
+
+
+@pytest.mark.parametrize("days", [slice(None), slice(2, 3)], ids=["stack", "one-day"])
+def test_solve_days_equals_per_day_lstsq(days):
+    A, c = _design_stack()
+    A, c = A[days], c[days]
+    u, r, rank, cond = cal._solve_days(A, c)
+    assert u.shape == A.shape[:1] + (7,) and r.shape == c.shape
+    for k in range(A.shape[0]):
+        uk, _, rk, sk = np.linalg.lstsq(A[k], -c[k], rcond=1e-12)
+        assert np.array_equal(u[k], uk)
+        assert np.array_equal(r[k], A[k] @ uk + c[k])
+        assert rank[k] == rk
+        assert cond[k] == (np.inf if sk[-1] == 0.0 else sk[0] / sk[-1])
+    if A.shape[0] == 5:
+        assert list(rank) == [7, 7, 7, 6, 0]
+        assert cond[4] == np.inf
+
+
+def test_solve_days_raises_on_non_finite_design():
+    A, c = _design_stack()
+    A[1, 4, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        cal._solve_days(A, c)
+
+
+@pytest.mark.parametrize("theta,cond", [(SEP_THETA, 1.4e3), (cal.REFERENCE_THETA, 3.6e10)],
+                         ids=["separated", "reference"])
+def test_day_fit_condition_matches_numpy(theta, cond):
+    snaps = cal.synthesize_market_data(theta, Y_NS, 6, seed=7)
+    snap, base = snaps[4], snaps[0].log_spreads
+    coeffs = fdr.hw3_affine_observables(theta.a, theta.sigma, theta.beta,
+                                        np.array([snap.date / cal.DAYS_PER_YEAR]),
+                                        snap.maturities)
+    A, _ = cal._day_system(*coeffs, *cal._market([snap]), base)
+    fit = cal.inner_solve(snap, theta, base_spreads=base)
+    assert fit.condition == pytest.approx(np.linalg.cond(A[0]), rel=1e-9)
+    assert fit.condition == pytest.approx(cond, rel=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +361,8 @@ def test_outer_calibrate_objective_equals_per_day_loop(monkeypatch):
             coeffs = fdr.hw3_affine_observables(
                 a, sig, beta, np.array([snap.date / cal.DAYS_PER_YEAR]), snap.maturities)
             A, c = cal._day_system(*coeffs, *cal._market([snap]), base)
-            _, r, _ = cal._solve_day(A[0], c[0])
-            parts.append(r)
+            u = np.linalg.lstsq(A[0], -c[0], rcond=1e-12)[0]
+            parts.append(A[0] @ u + c[0])
         return np.concatenate(parts)
 
     points = [SEP_THETA.as_array(), SEP_THETA.as_array() * 1.05,

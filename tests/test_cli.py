@@ -300,6 +300,40 @@ def test_stability_single_roll_zero_std(tmp_path):
     assert all(row.rsplit(",", 1)[1] == "0.0" for row in rows)
 
 
+def test_diagnostics_and_roll_tables_parse_and_repeat(tmp_path):
+    data = make_dataset(tmp_path, days=cal.TRADING_DAYS_PER_MONTH + 2, noise="0.0002")
+    outs = []
+    for tag in ("r1", "r2"):
+        out = tmp_path / tag
+        assert run("calibrate", "--dataset", str(data), "--out", str(out),
+                   "--set", f"theta0={SEP}") == 0
+        assert run("stability", "--dataset", str(data), "--out", str(out),
+                   "--rolls", "2", "--window-months", "1",
+                   "--set", f"theta0={SEP}") == 0
+        outs.append(out)
+    for name in ("diagnostics.csv", "stability_rolls.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    lines = (outs[0] / "diagnostics.csv").read_text().splitlines()
+    assert lines[0] == "key,value"
+    diag = dict(line.split(",") for line in lines[1:])
+    assert list(diag) == sorted(diag) == [
+        "converged", "jacobian_condition", "max_day_condition", "min_day_rank",
+        "nfev", "njev", "optimizer_sse", "status", "weakly_identified"]
+    assert diag["converged"] == "True" and diag["min_day_rank"] == "7"
+    assert int(diag["nfev"]) >= int(diag["njev"]) > 0
+    assert 1.0 < float(diag["max_day_condition"]) < np.inf
+    assert float(diag["optimizer_sse"]) >= 0.0
+
+    lines = (outs[0] / "stability_rolls.csv").read_text().splitlines()
+    assert lines[0] == "roll,start_date," + ",".join(cal.PARAM_NAMES) + ",converged"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[:2] for r in rows] == [["0", "0"], ["1", "1"]]
+    theta = cal.Theta.from_array([float(v) for v in rows[1][2:10]])
+    assert theta.a0 == pytest.approx(0.35, rel=0.1)
+    assert [r[10] for r in rows] == ["True", "True"]
+
+
 def test_stability_insufficient_data(tmp_path):
     data = make_dataset(tmp_path, days=6)
     assert run("stability", "--dataset", str(data), "--out", str(tmp_path),

@@ -32,11 +32,11 @@ def main() -> None:
     print(f"outer Jacobian condition {diag.jacobian_condition:.3g}, "
           f"largest per-day design condition {day_cond:.3g}, "
           f"converged {diag.converged}")
-    print("note: on this noiseless panel the fit stops short of the generator")
-    print("(SSE there is about 1e-28) although the outer Jacobian is well")
-    print("conditioned; the per-day designs are nearly rank-deficient, so the")
-    print("finite-difference Jacobian through the inner solve is noisy; see")
-    print("ROADMAP open item 2.")
+    print("note: beta does not enter the variable-projection residual (each")
+    print("day's free factor state absorbs it), so the data cannot identify")
+    print("it. The outer-Jacobian condition above is finite-difference noise")
+    print("from the nearly rank-deficient per-day solves, not evidence that")
+    print("beta is determined; see ROADMAP open item 1.")
 
     print("\nend-of-window relative yield errors:",
           np.array2string(metrics.yield_errors, precision=3))

@@ -101,8 +101,8 @@ class Theta:
 
     ``a^j`` are the reversion speeds, ``sigma^j`` the curve volatilities and
     ``beta^j`` the log-spread loadings on the shared factor.  Validity (the
-    calibration box plus pairwise-distinct reversion speeds) is enforced at
-    construction.
+    calibration box ``DEFAULT_BOUNDS`` plus pairwise-distinct reversion
+    speeds) is enforced at construction.
     """
 
     a0: float
@@ -118,15 +118,11 @@ class Theta:
         self.validate()
 
     def validate(self) -> None:
-        a, sig, beta = self.a, self.sigma, self.beta
-        for j in range(3):
-            if not 0.0 < a[j] <= 1.0:
-                raise ValueError(f"a{j} must lie in (0, 1], got {a[j]}")
-            if not 0.0 < sig[j] <= 0.5:
-                raise ValueError(f"sigma{j} must lie in (0, 0.5], got {sig[j]}")
-        for j, b in enumerate(beta, start=1):
-            if abs(b) > 1.0:
-                raise ValueError(f"|beta{j}| must not exceed 1, got {b}")
+        for name, lo, hi in zip(PARAM_NAMES, *DEFAULT_BOUNDS):
+            value = getattr(self, name)
+            if not lo <= value <= hi:
+                raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {value}")
+        a = self.a
         for i in range(3):
             for j in range(i + 1, 3):
                 if abs(a[i] - a[j]) < _MIN_A_GAP:
@@ -502,8 +498,6 @@ def outer_calibrate(
     if np.any(np.diff(dates) <= 0):
         raise CalibrationError("snapshot dates must be strictly increasing")
     x = theta0.as_array()
-    if np.any(x < DEFAULT_BOUNDS[0]) or np.any(x > DEFAULT_BOUNDS[1]):
-        raise CalibrationError("theta0 lies outside the calibration bounds")
     base = _base_spreads(snapshots[0], base_spreads)
     mats = snapshots[0].maturities
     if any(not np.array_equal(s.maturities, mats) for s in snapshots):
@@ -724,7 +718,6 @@ def synthesize_market_data(
     theta_true: Theta,
     ns_params,
     days: int,
-    maturities=None,
     noise_sd: float = 0.0,
     seed: int = 0,
     *,
@@ -751,7 +744,7 @@ def synthesize_market_data(
         raise ValueError("noise_sd must be nonnegative")
     if substeps < 1:
         raise ValueError("substeps must be a positive integer")
-    x = np.asarray(DEFAULT_MATURITIES if maturities is None else maturities, dtype=float)
+    x = DEFAULT_MATURITIES
     y = np.asarray(ns_params, dtype=float)
     if y.shape != (3,):
         raise ValueError("ns_params must have shape (3,)")

@@ -103,10 +103,23 @@ def _solver_failures():
 # ---------------------------------------------------------------------------
 
 
+def _read_utf8(path: Path) -> str:
+    """The text of ``path`` decoded as UTF-8 whatever the locale; raises
+    ``OSError`` if unreadable and ``ValueError`` naming the line of the
+    first byte that is not UTF-8."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"line {line}: byte {data[exc.start]:#04x} is not valid UTF-8") from exc
+
+
 def _parse_config_file(path: Path) -> dict[str, str]:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = _read_utf8(path)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -310,8 +323,8 @@ def read_dataset(path: Path) -> list[cal.MarketSnapshot]:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = _read_utf8(path)
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != BOND_HEADER:
@@ -590,7 +603,7 @@ def _check_family(config: RunConfig, family: str,
             dim = geometry.span_dimension_estimate([mu, *sigs], state, depth)
             rows.append(("span_dimension", f"state_{k}", _fmt(dim), ""))
             summary.append(f"span dimension at state {k}: {dim}")
-            verdicts = geometry.commutation_check(spec, (1, 2), state)
+            verdicts = geometry.commutation_check(spec, state)
             for tenor, res in verdicts.items():
                 word = "commutes" if res.commutes else "coupled"
                 rows.append((

@@ -7,12 +7,7 @@ parametrization: x is time to maturity, so the (fictitious) bond prices are
 
     B^j(x) = exp(-int_0^x r^j(s) ds),
 
-and the spot spread is S^j = exp(Y^j).  Simple forward rates and the
-tenor-j rates implied by the spread/bond system follow from
-
-    1 + delta_j L^j(T, T+delta_j) = S^j B^j(T-t) / B^0(T-t+delta_j),
-
-which reduces to the textbook formula when r^j = r^0 and Y^j = 0.
+and the spot spread is S^j = exp(Y^j).
 
 Every curve of a state is an ``AnalyticCurve``: an exact quasi-exponential
 function whose integrals come from the symbolic H operator, so drifts and
@@ -24,7 +19,6 @@ plus an m-vector of log-spread components.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,14 +28,8 @@ from . import qe
 __all__ = [
     "DEFAULT_GRID",
     "AnalyticCurve",
-    "TenorStructure",
     "MultiCurveState",
     "TangentVector",
-    "bond_price",
-    "yield_value",
-    "simple_forward_rate",
-    "implied_risk_sensitive_rate",
-    "spot_spread",
 ]
 
 #: Default maturity grid: 0 to 10 years, 6 business-week spacing (201 nodes).
@@ -56,27 +44,6 @@ class AnalyticCurve:
 
     def value(self, x):
         return qe.evaluate(self.func, x)
-
-    def integral(self, x):
-        """int_0^x r(s) ds, closed form."""
-        return qe.evaluate(qe.integrate_from_zero(self.func), x)
-
-
-@dataclass(frozen=True)
-class TenorStructure:
-    """The tenors delta_1 < ... < delta_m of the risk-sensitive curves."""
-
-    tenors: tuple[float, ...]
-
-    def __post_init__(self):
-        t = tuple(float(d) for d in self.tenors)
-        if any(d <= 0 for d in t) or any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("tenors must be positive and strictly increasing")
-        object.__setattr__(self, "tenors", t)
-
-    @property
-    def m(self) -> int:
-        return len(self.tenors)
 
 
 @dataclass(frozen=True)
@@ -150,57 +117,3 @@ class TangentVector:
 
     def sup_norm(self, grid: np.ndarray) -> float:
         return float(np.max(np.abs(self.values(grid))))
-
-
-def bond_price(curve: AnalyticCurve, x) -> float:
-    """B(x) = exp(-int_0^x r); equals 1 at x = 0."""
-    return np.exp(-curve.integral(x)) if np.ndim(x) else float(math.exp(-curve.integral(x)))
-
-
-def yield_value(curve: AnalyticCurve, x) -> float:
-    """Continuously compounded yield int_0^x r / x (undefined at x = 0)."""
-    xarr = np.asarray(x, dtype=float)
-    if np.any(xarr <= 0):
-        raise ValueError("yield is defined for x > 0 only")
-    out = curve.integral(xarr) / xarr
-    return float(out) if np.ndim(x) == 0 else out
-
-
-def simple_forward_rate(curve: AnalyticCurve, T: float, delta: float) -> float:
-    """Simply compounded forward rate L(T, T + delta) off one curve."""
-    if delta <= 0:
-        raise ValueError("tenor must be positive")
-    return (bond_price(curve, T) / bond_price(curve, T + delta) - 1.0) / delta
-
-
-def spot_spread(state: MultiCurveState, j: int) -> float:
-    """Multiplicative spot spread S^j = exp(Y^j); S^0 = 1 by convention."""
-    if j == 0:
-        return 1.0
-    return float(math.exp(state.log_spreads[j - 1]))
-
-
-def implied_risk_sensitive_rate(
-    state: MultiCurveState, tenors: TenorStructure, j: int, T: float
-) -> float:
-    """Tenor-j simple rate L^j(T, T + delta_j) implied by the current state.
-
-    Inverts the fictitious-bond definition: with x = time to the fixing,
-
-        1 + delta_j L^j = S^j B^j(x) / B^0(x + delta_j).
-
-    For j = 0 this is just the risk-free simple forward rate.
-    """
-    if not 0 <= j <= state.m:
-        raise ValueError(f"curve index {j} out of range")
-    if T < 0:
-        raise ValueError("fixing time must be >= 0 (Musiela time to fixing)")
-    if j == 0:
-        # Any positive accrual works for the risk-free curve; use the shortest
-        # tenor of the structure for symmetry with the spread definition.
-        delta = tenors.tenors[0]
-        return simple_forward_rate(state.curves[0], T, delta)
-    delta = tenors.tenors[j - 1]
-    num = spot_spread(state, j) * bond_price(state.curves[j], T)
-    den = bond_price(state.curves[0], T + delta)
-    return (num / den - 1.0) / delta

@@ -631,6 +631,10 @@ def simulate_state(
 # benchmark coordinates
 # ---------------------------------------------------------------------------
 
+# Newton inversion of the chart: relative residual tolerance, step budget.
+_NEWTON_TOL = 1e-14
+_NEWTON_MAX_ITER = 50
+
 
 @dataclass(frozen=True)
 class BenchmarkSystem:
@@ -699,11 +703,8 @@ def state_from_observables(
     real: FDRRealization,
     system: BenchmarkSystem,
     targets: np.ndarray,
-    z_init: Optional[np.ndarray] = None,
-    tol: float = 1e-14,
-    max_iter: int = 50,
 ) -> np.ndarray:
-    """Invert the benchmark chart by Newton iteration.
+    """Invert the benchmark chart by Newton iteration from the origin.
 
     The stopping rule is on the observable residual; it is deliberately
     tight because the state error is the residual amplified by the inverse
@@ -717,11 +718,11 @@ def state_from_observables(
             f"benchmark coordinates are singular (cond = {system.cond:.3e})"
         )
     targets = np.asarray(targets, dtype=float)
-    z = np.zeros(real.n) if z_init is None else np.asarray(z_init, dtype=float).copy()
+    z = np.zeros(real.n)
     scale = 1.0 + float(np.max(np.abs(targets)))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         resid = benchmark_observables(real, system.weights, system.maturities, z) - targets
-        if np.max(np.abs(resid)) <= tol * scale:
+        if np.max(np.abs(resid)) <= _NEWTON_TOL * scale:
             return z
         K = benchmark_coordinates(real, system.weights, system.maturities, z).jacobian
         try:
@@ -731,17 +732,18 @@ def state_from_observables(
         z = z - delta
         if not np.all(np.isfinite(z)):
             raise NumericalError("benchmark inversion diverged")
-    raise NumericalError(f"benchmark inversion did not converge in {max_iter} iterations")
+    raise NumericalError(
+        f"benchmark inversion did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
 def choose_benchmark_coefficients(
     real: FDRRealization,
     maturities: np.ndarray,
-    z: Optional[np.ndarray] = None,
     n_candidates: int = 128,
     seed: int = 7,
 ) -> BenchmarkSystem:
-    """Search random weight matrices for the best-conditioned chart.
+    """Search random weight matrices for the chart best conditioned at the
+    origin.
 
     Draws ``n_candidates`` uniform matrices in [-1, 1] and keeps the one
     with the smallest Jacobian condition number; deterministic per seed.
@@ -750,7 +752,7 @@ def choose_benchmark_coefficients(
     best: Optional[BenchmarkSystem] = None
     for _ in range(n_candidates):
         w = rng.uniform(-1.0, 1.0, size=(real.n, 2 * real.m + 1))
-        sys_k = benchmark_coordinates(real, w, maturities, z)
+        sys_k = benchmark_coordinates(real, w, maturities)
         if best is None or sys_k.cond < best.cond:
             best = sys_k
     return best

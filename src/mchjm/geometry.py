@@ -212,27 +212,19 @@ class CommutationResult:
     commutes: bool
 
 
-def commutation_check(
-    spec: VolSpec,
-    spread_indices: Optional[Sequence[int]],
-    state: MultiCurveState,
-) -> dict[int, CommutationResult]:
-    """For each listed log-spread index k, does the coordinate direction of
+def commutation_check(spec: VolSpec, state: MultiCurveState) -> dict[int, CommutationResult]:
+    """For each log-spread index k = 1..m, does the coordinate direction of
     Y^k commute with the drift and diffusion fields of the model?
 
     When it does, the realization can carry Y^k as an autonomous extra
-    coordinate instead of feeding it back into the other states.  ``None``
-    checks every index.
+    coordinate instead of feeding it back into the other states.
     """
     m = spec.m
-    indices = tuple(range(1, m + 1)) if spread_indices is None else tuple(spread_indices)
-    if any(not 1 <= k <= m for k in indices):
-        raise ValueError(f"spread indices must lie in 1..{m}")
     mu, sigmas = model_fields(spec)
     fields = (mu, *sigmas)
     zero_curves = tuple(qe.QEFunction(()) for _ in range(m + 1))
     out: dict[int, CommutationResult] = {}
-    for k in indices:
+    for k in range(1, m + 1):
         e_k = np.zeros(m)
         e_k[k - 1] = 1.0
         gamma = TangentVector(zero_curves, e_k)

@@ -48,7 +48,6 @@ __all__ = [
     "multiply",
     "shift",
     "annihilator",
-    "krylov_dimension",
     "constant",
     "exponential",
     "poly_exp",
@@ -468,10 +467,3 @@ def joint_annihilator(funcs: Sequence[QEFunction]) -> AnnihilatorPolynomial:
             poly = np.convolve(poly, factor)
             factors.append(factor)
     return AnnihilatorPolynomial(tuple(float(c) for c in poly), tuple(factors))
-
-
-def krylov_dimension(f: QEFunction) -> int:
-    """dim span{f, Ff, F^2 f, ...}; equals the annihilator degree (0 if f = 0)."""
-    if f.is_zero:
-        return 0
-    return annihilator(f).degree

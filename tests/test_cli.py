@@ -42,6 +42,14 @@ def test_config_file_parsing(tmp_path):
         cli._parse_config_file(cfg)
 
 
+def test_non_utf8_config_file_exits_with_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"days = 4\nnoise_sd = 0.001\xff\n")
+    assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 2: byte 0xff" in err
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"days = 4\ntheta_true = {SEP}\n")
@@ -115,6 +123,17 @@ def test_non_finite_values_exit_with_data_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"line {lineno}:" in err and "finite" in err
         assert "Traceback" not in err
+
+
+def test_non_utf8_dataset_exits_with_data_error(tmp_path, capsys):
+    src = make_dataset(tmp_path, days=3)
+    lines = src.read_bytes().split(b"\n")
+    lines[2] += b"\xff"
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\n".join(lines))
+    assert run("calibrate", "--dataset", str(bad), "--out", str(tmp_path / "o")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 3: byte 0xff" in err
 
 
 def overflowing_dataset(tmp_path: Path) -> Path:
@@ -257,11 +276,15 @@ def test_calibrate_requires_dataset_and_enough_days(tmp_path):
                "--out", str(tmp_path)) == 4
 
 
-def test_calibrate_rejects_invalid_theta0(tmp_path):
+def test_calibrate_rejects_invalid_theta0(tmp_path, capsys):
     data = make_dataset(tmp_path, days=4)
-    code = run("calibrate", "--dataset", str(data), "--out", str(tmp_path),
-               "--set", "theta0=2.0,0.15,0.62,0.10,0.88,0.07,0.45,-0.30")
-    assert code == 2
+    # a0 above the box, and a0 in (0, 1] but below the 1e-6 calibration floor
+    for a0 in ("2.0", "1e-7"):
+        capsys.readouterr()
+        code = run("calibrate", "--dataset", str(data), "--out", str(tmp_path),
+                   "--set", f"theta0={a0},0.15,0.62,0.10,0.88,0.07,0.45,-0.30")
+        assert code == 2
+        assert "option 'theta0': a0 must lie in" in capsys.readouterr().err
 
 
 def test_check_families_and_unknown(tmp_path, capsys):

@@ -172,7 +172,7 @@ def test_span_cdv_example_bounded():
 
 def test_commutation_constant_vol_all_commute():
     spec = hull_white_three_curve_spec(SIG, A, BET)
-    res = geo.commutation_check(spec, None, hw3_state())
+    res = geo.commutation_check(spec, hw3_state())
     assert set(res) == {1, 2}
     for r in res.values():
         assert r.commutes
@@ -182,7 +182,7 @@ def test_commutation_constant_vol_all_commute():
 def test_commutation_cdv_spread_coupling_detected():
     spec = fdr.cdv_example_spec(CDV_SIG, CDV_A, CDV_BC, CDV_BS)
     state = cdv_state()
-    res = geo.commutation_check(spec, (1, 2), state)
+    res = geo.commutation_check(spec, state)
     assert not res[1].commutes
     assert not res[2].commutes
 
@@ -211,15 +211,9 @@ def test_commutation_depends_only_on_listed_spread():
         (ScalarField.constant(CDV_BC[1]), null, ScalarField.affine_log_spread(0.0, CDV_BS[1], 2)),
     )
     spec = VolSpec(lam, phi, beta)
-    res = geo.commutation_check(spec, (1, 2), cdv_state())
+    res = geo.commutation_check(spec, cdv_state())
     assert res[1].commutes
     assert not res[2].commutes
-
-
-def test_commutation_rejects_bad_index():
-    spec = hull_white_three_curve_spec(SIG, A, BET)
-    with pytest.raises(ValueError):
-        geo.commutation_check(spec, (3,), hw3_state())
 
 
 # ---------------------------------------------------------------------------

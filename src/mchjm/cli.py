@@ -13,6 +13,7 @@ possible), 4 insufficient data, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -104,12 +105,12 @@ def _solver_failures():
 
 
 def _read_utf8(path: Path) -> str:
-    """The text of ``path`` decoded as UTF-8 whatever the locale; raises
-    ``OSError`` if unreadable and ``ValueError`` naming the line of the
-    first byte that is not UTF-8."""
+    """The text of ``path`` decoded as UTF-8 whatever the locale, without a
+    leading byte-order mark; raises ``OSError`` if unreadable and
+    ``ValueError`` naming the line of the first byte that is not UTF-8."""
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(
@@ -840,7 +841,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="override any config key (repeatable)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="mchjm",
         description="Multi-curve term-structure toolkit: simulation, "

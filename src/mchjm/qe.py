@@ -48,6 +48,7 @@ __all__ = [
     "multiply",
     "shift",
     "annihilator",
+    "joint_annihilator",
     "constant",
     "exponential",
     "poly_exp",

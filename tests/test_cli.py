@@ -50,6 +50,24 @@ def test_non_utf8_config_file_exits_with_config_error(tmp_path, capsys):
     assert err.startswith("error: ") and "line 2: byte 0xff" in err
 
 
+def test_config_file_with_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfdays = 5\nnoise_sd = 0.001\n")
+    assert cli._parse_config_file(cfg) == {"days": "5", "noise_sd": "0.001"}
+
+
+def test_main_calls_do_not_share_settings(tmp_path, monkeypatch):
+    # the parser is built once per process; each call still parses afresh
+    seen = []
+    monkeypatch.setitem(cli.HANDLERS, "synth", seen.append)
+    assert run("synth", "--set", "days=5", "--set", "noise_sd=0.1",
+               "--out", str(tmp_path)) == 0
+    assert run("synth", "--set", "days=7", "--out", str(tmp_path)) == 0
+    assert run("synth", "--out", str(tmp_path)) == 0
+    assert [c.options for c in seen] == [{"days": "5", "noise_sd": "0.1"}, {"days": "7"}, {}]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"days = 4\ntheta_true = {SEP}\n")
@@ -134,6 +152,22 @@ def test_non_utf8_dataset_exits_with_data_error(tmp_path, capsys):
     assert run("calibrate", "--dataset", str(bad), "--out", str(tmp_path / "o")) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "line 3: byte 0xff" in err
+
+
+def test_dataset_with_byte_order_mark_calibrates_the_same(tmp_path):
+    plain = make_dataset(tmp_path, days=4, noise="0.0002")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outs = []
+    for tag, data in (("plain", plain), ("bom", bom)):
+        out = tmp_path / tag
+        assert run("calibrate", "--dataset", str(data), "--out", str(out),
+                   "--set", f"theta0={SEP}") == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def overflowing_dataset(tmp_path: Path) -> Path:

@@ -21,8 +21,6 @@ KEEP = {
     # test_acceptance.py::test_a9_benchmark_coordinate_chart (A9)
     "fdr.choose_benchmark_coefficients",
     "fdr.state_from_observables",
-    # test_geometry.py::test_realization_manifold_is_invariant
-    "geometry.family_from_realization",
     # test_fdr.py::test_generic_builder_matches_closed_form and
     # test_tangency_constant_direction: the explicit constructions
     "fdr.build_constant_vol_fdr",

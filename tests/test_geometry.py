@@ -45,6 +45,31 @@ def cdv_state():
     return MultiCurveState(curves, np.array([0.12, -0.09]))
 
 
+def central_difference_jacobian(fam, z, grid, scale=1e-6):
+    """d(fam.values)/dz by central differences, step scale * (1 + |z_k|):
+    the oracle for the exact family jacobians."""
+    cols = []
+    for k in range(fam.param_dim):
+        h = scale * (1.0 + abs(z[k]))
+        zp = z.copy()
+        zp[k] += h
+        zm = z.copy()
+        zm[k] -= h
+        cols.append((fam.values(zp, grid) - fam.values(zm, grid)) * (0.5 / h))
+    return np.stack(cols, axis=1)
+
+
+def family_from_realization(real):
+    """A realization's embedding as a parameterized family (its invariant
+    manifold), with a central-difference jacobian."""
+
+    def jacobian(z, grid):
+        return central_difference_jacobian(fam, z, grid)
+
+    fam = geo.ParamFamily(real.n, real.m, real.embed_curves, real.embed_spreads, jacobian)
+    return fam
+
+
 # ---------------------------------------------------------------------------
 # tangent vectors and brackets
 # ---------------------------------------------------------------------------
@@ -279,6 +304,65 @@ def test_generated_directions_fit_exactly():
         assert np.linalg.norm(jac @ coef - target) <= 1e-10 * np.linalg.norm(target)
 
 
+def cli_check_families():
+    """(family, parameter point) of each ns-* family at the points `mchjm
+    check` tests: plain, strategy 1, strategy 2 and its 1.1-beta control."""
+    single = geo.HullWhiteStackParams(sigma=(0.1643,), a=(0.3719,))
+    base = geo.HullWhiteStackParams(STACK.sigma, STACK.a)
+    beta = geo.spread_volatility_relation(base)
+    z1 = np.concatenate([np.tile((0.02, -0.015, 0.004, 0.002), 3), [0.0035, 0.0070]])
+    z2 = np.tile((0.02, -0.015, 0.5, 0.002), 3)
+    return [
+        (geo.nelson_siegel_family(single.a), np.array([0.02, -0.015, 0.004])),
+        (geo.build_modified_ns_family(STACK, strategy=1), z1),
+        (geo.build_modified_ns_family(
+            geo.HullWhiteStackParams(STACK.sigma, STACK.a, beta), strategy=2), z2),
+        (geo.build_modified_ns_family(
+            geo.HullWhiteStackParams(STACK.sigma, STACK.a, tuple(1.1 * b for b in beta)),
+            strategy=2), z2),
+    ]
+
+
+def test_family_jacobian_matches_central_differences():
+    rng = np.random.default_rng(11)
+    for fam, z0 in cli_check_families():
+        # the CLI point, then jittered points (relative 20%, which keeps
+        # every z3 of strategy 2 inside its log domain)
+        points = [z0] + [z0 * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, z0.size)) for _ in range(3)]
+        for z in points:
+            exact = geo.family_jacobian(fam, z, DEFAULT_GRID)
+            assert exact.shape == (DEFAULT_GRID.size * (fam.m + 1) + fam.m, fam.param_dim)
+            np.testing.assert_allclose(
+                exact, central_difference_jacobian(fam, z, DEFAULT_GRID), rtol=0, atol=1e-8
+            )
+
+
+def test_family_jacobian_checks_shapes():
+    fam = geo.build_modified_ns_family(STACK, strategy=1)
+    z = np.concatenate([np.tile((0.02, -0.015, 0.004, 0.002), 3), [0.0035, 0.0070]])
+    with pytest.raises(ValueError):
+        geo.family_jacobian(fam, z[:-1], DEFAULT_GRID)
+    short = geo.ParamFamily(fam.param_dim, fam.m, fam.curve_map, fam.spread_map,
+                            lambda z, grid: fam.jacobian(z, grid)[1:])
+    with pytest.raises(ValueError):
+        geo.family_jacobian(short, z, DEFAULT_GRID)
+    strategy2 = geo.build_modified_ns_family(STACK, strategy=2)
+    bad = np.tile((0.02, -0.015, 0.5, 0.002), 3)
+    bad[10] = 0.0  # z3 of the second tenor block
+    with pytest.raises(ValueError):
+        geo.family_jacobian(strategy2, bad, DEFAULT_GRID)
+
+
+def test_exact_jacobian_puts_consistent_residuals_at_rounding():
+    fam1, z1 = cli_check_families()[1]
+    spec1 = single_factor_spec(STACK.sigma, STACK.a, STACK.beta)
+    report1 = geo.tangency_residual(fam1, spec1, z1)
+    report2 = geo.verify_strategy2_consistency(STACK).main
+    for report in (report1, report2):
+        assert report.verdict == "consistent"
+        assert max(report.drift_residual, *report.diffusion_residuals) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # tangency verdicts
 # ---------------------------------------------------------------------------
@@ -320,6 +404,7 @@ def test_rank_deficient_family_raises():
         m=0,
         curve_map=lambda z: (qe.constant(z[0] + z[1]),),
         spread_map=lambda z: np.zeros(0),
+        jacobian=lambda z, grid: np.ones((grid.size, 2)),
     )
     spec = single_factor_spec((0.1,), (0.4,), ())
     with pytest.raises(geo.ImmersionError):
@@ -329,7 +414,7 @@ def test_rank_deficient_family_raises():
 def test_realization_manifold_is_invariant():
     theta = SimpleNamespace(sigma=SIG, a=A, beta=BET)
     real = fdr.build_hw3_fdr(theta, (0.025, -0.010, 0.004), (0.0035, 0.0070))
-    fam = geo.family_from_realization(real)
+    fam = family_from_realization(real)
     assert (fam.param_dim, fam.m) == (real.n, real.m)
     spec = hull_white_three_curve_spec(SIG, A, BET)
     z = np.array([0.15, 0.02, -0.01, 0.005, 0.003])

@@ -723,16 +723,15 @@ def synthesize_market_data(
     *,
     initial_log_spreads=(0.0035, 0.0070),
     theta_drift: Optional[Theta] = None,
-    substeps: int = 1,
     return_states: bool = False,
 ):
     """Generate daily snapshots from a simulated realization state path.
 
     The five-dimensional state starts at the origin (so the day-0 curves are
     exactly the Nelson-Siegel configuration ``ns_params`` and the day-0
-    log-spreads equal ``initial_log_spreads``), is integrated with a Heun
-    step per trading day (``substeps`` sub-intervals), and is pushed through
-    the closed-form observable map each day.  Gaussian noise of standard
+    log-spreads equal ``initial_log_spreads``), is integrated with one Heun
+    step per trading day, and is pushed through the closed-form observable
+    map each day.  Gaussian noise of standard
     deviation ``noise_sd`` is added to the *yields* (and log-spreads), never
     to prices.  When ``theta_drift`` is given, the structural parameters
     migrate linearly from ``theta_true`` to it across the sample — a
@@ -742,8 +741,6 @@ def synthesize_market_data(
         raise ValueError("need at least one day")
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
-    if substeps < 1:
-        raise ValueError("substeps must be a positive integer")
     x = DEFAULT_MATURITIES
     y = np.asarray(ns_params, dtype=float)
     if y.shape != (3,):
@@ -767,15 +764,14 @@ def synthesize_market_data(
         return fdr.build_hw3_fdr(duck, y, ym)
 
     rng = np.random.default_rng(seed)
-    dt = 1.0 / (DAYS_PER_YEAR * substeps)
+    dt = 1.0 / DAYS_PER_YEAR
     states = np.zeros((days, 5))
     z = np.zeros(5)
     real = realization_at(0)
     for d in range(1, days):
         if theta_drift is not None:
             real = realization_at(d - 1)
-        for _ in range(substeps):
-            z = fdr.heun_step(real, z, dt, rng.normal(0.0, math.sqrt(dt), size=1))
+        z = fdr.heun_step(real, z, dt, rng.normal(0.0, math.sqrt(dt), size=1))
         states[d] = z
 
     snapshots = []

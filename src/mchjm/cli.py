@@ -2,9 +2,11 @@
 
 Subcommands: simulate | calibrate | check | stability | sweep | synth.
 Options come from a flat ``key = value`` config file (``#`` comments) and
-command-line flags, flags winning.  Every output file is written atomically
-and is byte-reproducible under a fixed seed; floats are serialized with
-``repr`` so a dataset survives write -> read -> write unchanged.
+command-line flags, flags winning; a key that the command (for ``check``,
+the family) does not read is a config error.  Every output file is written
+atomically and is byte-reproducible under a fixed seed; floats are
+serialized with ``repr`` so a dataset survives write -> read -> write
+unchanged.
 
 Exit codes: 0 success, 2 config error, 3 data error (line-numbered where
 possible), 4 insufficient data, 5 numerical failure.
@@ -117,12 +119,13 @@ def _read_utf8(path: Path) -> str:
             f"line {line}: byte {data[exc.start]:#04x} is not valid UTF-8") from exc
 
 
-def _parse_config_file(path: Path) -> dict[str, str]:
+def _parse_config_file(path: Path) -> dict[str, tuple[str, int]]:
+    """Each key of the file with its value and the number of its line."""
     try:
         text = _read_utf8(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    out: dict[str, str] = {}
+    out: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,73 +135,60 @@ def _parse_config_file(path: Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
-        out[key] = value
+        out[key] = (value, lineno)
     return out
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Merged options for one command invocation (flags override the file)."""
+    """Merged options for one command invocation (flags override the file);
+    ``origins`` says where each option was set."""
 
     command: str
     seed: int = DEFAULT_SEED
     out: Path = Path(".")
     dataset: Optional[Path] = None
     options: dict = field(default_factory=dict)
+    origins: dict = field(default_factory=dict)
 
-    def get_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self.options.get(key, default)
+    def _parse(self, key: str, default, parse: Callable[[str], object], what: str):
+        """Option ``key`` read by ``parse``, or ``default`` when unset; a value
+        that ``parse`` rejects is a config error: it must be ``what``."""
+        raw = self.options.get(key)
+        if raw is None:
+            return default
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"option {key!r} must be {what}, got {raw!r}") from exc
 
     def get_int(self, key: str, default: int) -> int:
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"option {key!r} must be an integer, got {raw!r}") from exc
+        return self._parse(key, default, int, "an integer")
+
+    def get_ints(self, key: str, default: Sequence[int]) -> tuple[int, ...]:
+        return self._parse(key, tuple(int(v) for v in default),
+                           lambda raw: tuple(map(int, raw.split(","))), "comma-separated integers")
 
     def get_float(self, key: str, default: float) -> float:
-        raw = self.options.get(key)
-        if raw is None:
-            return default
-        try:
-            value = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"option {key!r} must be a number, got {raw!r}") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"option {key!r} must be finite, got {raw!r}")
-        if (key.endswith("tol") or key.endswith("tolerance")) and value <= 0:
+        value = self._parse(key, default, _finite_float, "a finite number")
+        if key == "tolerance" and value <= 0:
             raise ConfigError(f"tolerance override {key!r} must be positive")
         return value
 
     def get_floats(self, key: str, default: Sequence[float], length: int) -> tuple[float, ...]:
-        raw = self.options.get(key)
-        if raw is None:
-            values = tuple(float(v) for v in default)
-        else:
-            try:
-                values = tuple(float(tok) for tok in raw.split(","))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"option {key!r} must be comma-separated numbers, got {raw!r}"
-                ) from exc
-            if not all(math.isfinite(v) for v in values):
-                raise ConfigError(f"option {key!r} must be finite numbers, got {raw!r}")
+        values = self._parse(key, tuple(float(v) for v in default),
+                             lambda raw: tuple(map(_finite_float, raw.split(","))),
+                             "comma-separated finite numbers")
         if len(values) != length:
             raise ConfigError(f"option {key!r} needs exactly {length} values")
         return values
 
-    def get_ints(self, key: str, default: Sequence[int]) -> tuple[int, ...]:
-        raw = self.options.get(key)
-        if raw is None:
-            return tuple(int(v) for v in default)
-        try:
-            return tuple(int(tok) for tok in raw.split(","))
-        except ValueError as exc:
-            raise ConfigError(
-                f"option {key!r} must be comma-separated integers, got {raw!r}"
-            ) from exc
+
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
 
 
 def _count(key: str, value: int) -> int:
@@ -210,39 +200,68 @@ def _count(key: str, value: int) -> int:
 
 def _merge_run_config(args: argparse.Namespace) -> RunConfig:
     options: dict[str, str] = {}
+    origins: dict[str, str] = {}
     if args.config is not None:
-        options.update(_parse_config_file(Path(args.config)))
+        for key, (value, lineno) in _parse_config_file(Path(args.config)).items():
+            options[key], origins[key] = value, f"{args.config}:{lineno}"
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        options[key.strip()] = value.strip()
-    # named per-command flags override both the file and --set
+        key, value = (part.strip() for part in item.split("=", 1))
+        options[key], origins[key] = value, "--set"
+    # named flags, the common ones included, override both the file and --set
     for key, value in vars(args).items():
-        if key in {"command", "config", "seed", "out", "dataset", "set", "func"}:
-            continue
-        if value is not None:
-            options[key] = str(value)
+        if key not in {"command", "config", "set"} and value is not None:
+            options[key], origins[key] = str(value), "--" + key.replace("_", "-")
 
-    seed = args.seed
-    if seed is None:
-        raw = options.pop("seed", None)
-        try:
-            seed = DEFAULT_SEED if raw is None else int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"seed must be an integer, got {raw!r}") from exc
-    else:
-        options.pop("seed", None)
-
-    out = Path(args.out if args.out is not None else options.pop("out", "."))
-    dataset = args.dataset if args.dataset is not None else options.pop("dataset", None)
+    raw = options.pop("seed", None)
+    try:
+        seed = DEFAULT_SEED if raw is None else int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"seed must be an integer, got {raw!r}") from exc
+    dataset = options.pop("dataset", None)
     return RunConfig(
         command=args.command,
-        seed=int(seed),
-        out=out,
+        seed=seed,
+        out=Path(options.pop("out", ".")),
         dataset=None if dataset is None else Path(dataset),
         options=options,
+        origins=origins,
     )
+
+
+# The option keys that each command, and each ``check`` family, reads
+# besides seed, out and dataset.
+_OPTIONS = {
+    "simulate": "sigma a beta ns spreads0 dt horizon paths bond_maturity drift_shift",
+    "calibrate": "theta0 max_iterations",
+    "stability": "theta0 window_months rolls",
+    "sweep": "theta0 lengths end_date",
+    "synth": "theta_true ns spreads0 days noise_sd drift_to",
+}
+_CHECK_OPTIONS = {
+    "hw3-constant-vol": "family sigma a beta depth states",
+    "cdv-example": "family sigma a beta_const beta_slope depth states",
+    "ns-plain": "family sigma a",
+    "ns-strategy1": "family sigma a beta",
+    "ns-strategy2": "family sigma a tolerance",
+}
+
+
+def _reject_unknown_options(config: RunConfig) -> None:
+    """A ``ConfigError`` naming the first option that the command, or the
+    ``check`` family, does not read, and where it was set."""
+    reader, accepted = f"command {config.command!r}", _OPTIONS.get(config.command)
+    if config.command == "check":
+        family = config.options.get("family")
+        if family not in _CHECK_OPTIONS:
+            raise ConfigError("check requires --family" if family is None
+                              else f"unknown family {family!r}")
+        reader, accepted = f"family {family!r}", _CHECK_OPTIONS[family]
+    for key in config.options:
+        if key not in accepted.split():
+            raise ConfigError(
+                f"{reader} takes no option {key!r} (set by {config.origins[key]})")
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +448,14 @@ def _theta_from(config: RunConfig, key: str, default: cal.Theta) -> cal.Theta:
         raise ConfigError(f"option {key!r}: {exc}") from exc
 
 
-def _stack_params(config: RunConfig) -> geometry.HullWhiteStackParams:
-    sigma = config.get_floats("sigma", CHECK_SIGMA, 3)
-    a = config.get_floats("a", CHECK_A, 3)
-    beta = config.get_floats("beta", CHECK_BETA, 2)
-    try:
-        return geometry.HullWhiteStackParams(sigma=sigma, a=a, beta=beta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _stack_params(config: RunConfig, n: int = 3, beta: bool = True) -> geometry.HullWhiteStackParams:
+    """The check families' single-factor stack of ``n`` curves, with the
+    spread volatilities unless ``beta`` is False."""
+    return geometry.HullWhiteStackParams(
+        sigma=config.get_floats("sigma", CHECK_SIGMA[:n], n),
+        a=config.get_floats("a", CHECK_A[:n], n),
+        beta=config.get_floats("beta", CHECK_BETA, 2) if beta else (),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -451,16 +470,13 @@ def cmd_synth(config: RunConfig) -> None:
     spreads0 = config.get_floats("spreads0", (0.0035, 0.0070), 2)
     days = config.get_int("days", 84)
     noise_sd = config.get_float("noise_sd", 0.0)
-    substeps = config.get_int("substeps", 1)
-    drift_raw = config.get_str("drift_to")
     drift_to = None
-    if drift_raw is not None:
+    if "drift_to" in config.options:
         drift_to = _theta_from(config, "drift_to", cal.REFERENCE_THETA)
     try:
         snapshots = cal.synthesize_market_data(
             theta, np.array(ns), days, noise_sd=noise_sd, seed=config.seed,
             initial_log_spreads=spreads0, theta_drift=drift_to,
-            substeps=substeps,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -576,18 +592,15 @@ def _geometry_failures():
 
 def cmd_check(config: RunConfig) -> None:
     """Run the geometry checks for one named family and emit a report."""
-    family = config.get_str("family")
-    if family is None:
-        raise ConfigError("check requires --family")
-    n_states = _count("states", config.get_int("states", 1))
-    with _geometry_failures():
-        rows, summary = _check_family(config, family, n_states)
+    family = config.options.get("family")
+    rows, summary = _check_family(config, family, _count("states", config.get_int("states", 1)))
     _write_csv(config.out / "check_report.csv", "kind,name,value,verdict", rows)
     print(f"family {family}:")
     for line in summary:
         print(f"  {line}")
 
 
+@_geometry_failures()
 def _check_family(config: RunConfig, family: str,
                   n_states: int) -> tuple[list[tuple], list[str]]:
     """Report rows and summary lines of one family's checks."""
@@ -630,14 +643,9 @@ def _check_family(config: RunConfig, family: str,
             dim = geometry.span_dimension_estimate([mu, *sigs], state, depth)
             rows.append(("span_dimension", f"state_{k}", _fmt(dim), ""))
             summary.append(f"span dimension at state {k}: {dim}")
-    elif family in ("ns-plain", "ns-strategy1", "ns-strategy2"):
-        for key in ("depth", "states"):
-            if key in config.options:
-                raise ConfigError(f"family {family!r} takes no option {key!r}")
+    else:  # the ns-* families: _reject_unknown_options admits no other
         if family == "ns-plain":
-            sigma = config.get_floats("sigma", CHECK_SIGMA[:1], 1)
-            a = config.get_floats("a", CHECK_A[:1], 1)
-            params = geometry.HullWhiteStackParams(sigma=sigma, a=a)
+            params = _stack_params(config, 1, beta=False)
             fam = geometry.nelson_siegel_family(params.a)
             spec = dynamics.single_factor_spec(params.sigma, params.a, params.beta)
             report = geometry.tangency_residual(fam, spec, np.array([0.02, -0.015, 0.004]))
@@ -651,7 +659,7 @@ def _check_family(config: RunConfig, family: str,
             report = geometry.tangency_residual(fam, spec, z)
             reports = [("strategy1", report)]
         else:
-            params = _stack_params(config)
+            params = _stack_params(config, beta=False)
             tolerance = config.get_float("tolerance", 1e-4)
             s2 = geometry.verify_strategy2_consistency(params, tolerance)
             summary.append(
@@ -669,8 +677,6 @@ def _check_family(config: RunConfig, family: str,
                 f"max diffusion residual {max(report.diffusion_residuals):.3e} "
                 f"-> {report.verdict}"
             )
-    else:
-        raise ConfigError(f"unknown family {family!r}")
     return rows, summary
 
 
@@ -892,6 +898,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = _merge_run_config(args)
+        _reject_unknown_options(config)
         HANDLERS[config.command](config)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ process ``Z`` in R^n together with an embedding ``G`` such that
   constant), driven by minimal annihilators of the volatility curves;
 * :func:`build_hw3_fdr` — the three-curve, single-factor mean-reverting
   stack in fully explicit closed form (five state variables);
-* :func:`build_cdv_example_fdr` — a twelve-dimensional realization of
-  :func:`cdv_example_spec`, whose spread loadings depend on the state
+* :func:`build_cdv_example_fdr` — a minimal six-dimensional realization
+  of :func:`cdv_example_spec`, whose spread loadings depend on the state
   (three factors);
 * :func:`hw3_affine_observables` — the three-curve model's yields and
   log-spreads as affine maps of its factor block and curve level, the
@@ -283,6 +283,19 @@ def _spread_level_rows(a, t: np.ndarray, ea: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _hw_curve(y, aj, sj, bt, x0: float, loading: float) -> qe.QEFunction:
+    """A curve with volatility ``lambda = sj e^{-aj x}`` at running time
+    ``x0``: ``y0 + (y1 + y2 x) e^{-aj x}`` shifted by ``x0``, plus ``loading``
+    times ``lambda``, plus its drift ``lambda H lambda - bt lambda``
+    accumulated over [0, x0] (``bt``: its spread's loading, 0 for curve 0)."""
+    e0 = math.exp(-aj * x0)
+    ratio = sj / aj
+    f = qe.constant(y[0]) + qe.poly_exp(((y[1] + y[2] * x0) * e0, y[2] * e0), -aj)
+    f = f + qe.poly_exp((sj * loading,), -aj)
+    f = f + qe.poly_exp((0.5 * ratio * ratio * (math.exp(-2.0 * aj * x0) - 1.0),), -2.0 * aj)
+    return f + qe.poly_exp((-ratio * (ratio - bt) * (e0 - 1.0),), -aj)
+
+
 def hw3_affine_observables(a, sig, beta, t, x: np.ndarray):
     """Affine coefficients of the three-curve observables in ``u = (q, y)``.
 
@@ -374,8 +387,8 @@ def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence
     The state is ``(x0, q0, q1, q2, q3)``: running time plus the factor
     block generated by the degree-3 joint annihilator
     ``(g + a_0)(g + a_1)(g + a_2)``.  Everything is in closed form: the
-    curves are assembled term by term and the log-spreads are the spread
-    rows of :func:`hw3_affine_observables`.
+    curves are those of :func:`build_cdv_example_fdr` with a shared factor,
+    and the log-spreads are the spread rows of :func:`hw3_affine_observables`.
     """
     sig = np.asarray(theta.sigma, dtype=float)
     a = np.asarray(theta.a, dtype=float)
@@ -396,21 +409,9 @@ def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence
 
     def embed_curves(z: np.ndarray) -> tuple:
         x0, q0, q1, q2, q3 = (float(v) for v in z)
-        out = []
-        for j in range(3):
-            aj, sj = a[j], sig[j]
-            bt = 0.0 if j == 0 else beta[j - 1]
-            e0 = math.exp(-aj * x0)
-            ratio = sj / aj
-            # r^j(x + x0): level plus the shifted slope/curvature terms.
-            f = qe.constant(y[0]) + qe.poly_exp(((y[1] + y[2] * x0) * e0, y[2] * e0), -aj)
-            # Factor block: sigma, F sigma, F^2 sigma, F^3 sigma loadings.
-            f = f + qe.poly_exp((sj * (q0 - aj * q1 + aj * aj * q2 - aj**3 * q3),), -aj)
-            # Deterministic drift accumulated over [0, x0].
-            f = f + qe.poly_exp((0.5 * ratio * ratio * (math.exp(-2.0 * aj * x0) - 1.0),), -2.0 * aj)
-            f = f + qe.poly_exp((-ratio * (ratio - bt) * (e0 - 1.0),), -aj)
-            out.append(f)
-        return tuple(out)
+        # Factor block: sigma, F sigma, F^2 sigma, F^3 sigma loadings.
+        return tuple(_hw_curve(y, aj, sj, bj, x0, q0 - aj * q1 + aj * aj * q2 - aj**3 * q3)
+                     for aj, sj, bj in zip(a, sig, (0.0, *beta)))
 
     def embed_spreads(z: np.ndarray) -> np.ndarray:
         Wz, Wy, c = hw3_affine_observables(a, sig, beta, float(z[0]), np.empty(0))
@@ -440,7 +441,7 @@ def build_hw3_fdr(theta, curve_level: Sequence[float], initial_spreads: Sequence
 
 
 # ---------------------------------------------------------------------------
-# twelve-dimensional constant-direction example
+# six-dimensional constant-direction example
 # ---------------------------------------------------------------------------
 
 
@@ -485,13 +486,12 @@ def build_cdv_example_fdr(
     curve_level: Sequence[float],
     initial_spreads: Sequence[float],
 ) -> FDRRealization:
-    """Twelve-dimensional realization for :func:`cdv_example_spec`.
+    """Minimal, six-dimensional realization for :func:`cdv_example_spec`.
 
-    State ``(x0, s1, s2, w0, w1, w2, d0[0], d0[1], d1[0], d1[1], d2[0],
-    d2[1])``: running time, two spread increments, three factor loadings
-    on the direction curves, and three 2-blocks carrying the deterministic
-    drift kernels ``D_j = lambda_j H lambda_j`` (annihilated by
-    ``g^2 + 3 a_j g + 2 a_j^2``).  The spread fields must not vanish at the
+    State ``(x0, s1, s2, w0, w1, w2)``: running time, the stochastic parts
+    of the two log-spreads, and the loadings of the curves on their
+    direction curves ``lambda_j``; the drift kernels ``lambda_j H lambda_j``
+    are closed-form in ``x0``.  The spread fields must not vanish at the
     initial configuration, otherwise the drift inversion behind this
     parametrization degenerates.
     """
@@ -510,41 +510,31 @@ def build_cdv_example_fdr(
             raise NonzeroConditionError(
                 f"log-spread {j} starts at zero but its volatility is proportional to it"
             )
+    ratio_sq = (sig / a) ** 2
 
     def spreads(z: np.ndarray) -> np.ndarray:
         """(Y^1, Y^2) along the realization: initial value + time drift + state."""
         t = np.reshape(z[..., 0], (-1, 1))
-        rows = _spread_level_rows(a, t, _libm_exp(-a * t))
-        return ym + np.reshape(rows @ y, np.shape(z)[:-1] + (2,)) + z[..., 1:3]
+        ea = _libm_exp(-a * t)
+        em_sq = _em_sq(a, t, ea, ea * ea)
+        det = (_spread_level_rows(a, t, ea) @ y
+               + 0.5 * (ratio_sq[0] * em_sq[:, :1] - ratio_sq[1:] * em_sq[:, 1:]))
+        return ym + np.reshape(det, np.shape(z)[:-1] + (2,)) + z[..., 1:3]
 
     def embed_curves(z: np.ndarray) -> tuple:
         x0 = float(z[0])
-        out = []
-        for j in range(3):
-            aj, sj = a[j], sig[j]
-            e0 = math.exp(-aj * x0)
-            cd = sj * sj / aj
-            d0, d1 = float(z[6 + 2 * j]), float(z[7 + 2 * j])
-            f = qe.constant(y[0]) + qe.poly_exp(((y[1] + y[2] * x0) * e0, y[2] * e0), -aj)
-            f = f + qe.poly_exp((sj * float(z[3 + j]) + cd * d0 - sj * sj * d1,), -aj)
-            f = f + qe.poly_exp((-cd * d0 + 2.0 * sj * sj * d1,), -2.0 * aj)
-            out.append(f)
-        return tuple(out)
+        return tuple(_hw_curve(y, a[j], sig[j], 0.0, x0, float(z[3 + j])) for j in range(3))
 
     def drift(z: np.ndarray) -> np.ndarray:
-        out = np.zeros(np.shape(z))
+        out = np.empty(np.shape(z))
         zt, ot, ys = z.T, out.T, spreads(z).T  # scalars for one state, rows for a batch
         ot[0] = 1.0
-        short0 = sig[0] * zt[3] + sig[0] ** 2 * zt[7]  # stochastic part of r^0(0)
         for j in (1, 2):
             yj = ys[j - 1]
-            shortj = sig[j] * zt[3 + j] + sig[j] ** 2 * zt[7 + 2 * j]
-            ot[j] = short0 - shortj - 0.5 * bs[j - 1] ** 2 * yj * (yj + 1.0) - 0.5 * bc[j - 1] ** 2
+            ot[j] = (sig[0] * zt[3] - sig[j] * zt[3 + j]
+                     - 0.5 * bs[j - 1] ** 2 * yj * (yj + 1.0) - 0.5 * bc[j - 1] ** 2)
             ot[3 + j] = -a[j] * zt[3 + j] - bs[j - 1] * yj
         ot[3] = -a[0] * zt[3]
-        for j in range(3):
-            ot[6 + 2 * j] = 1.0 - 2.0 * a[j] ** 2 * zt[7 + 2 * j]
-            ot[7 + 2 * j] = zt[6 + 2 * j] - 3.0 * a[j] * zt[7 + 2 * j]
         return out
 
     def diffusion(z: np.ndarray) -> np.ndarray:
@@ -558,7 +548,7 @@ def build_cdv_example_fdr(
         return b
 
     return FDRRealization(
-        n=12, m=2, d=3,
+        n=6, m=2, d=3,
         embed_curves=embed_curves, embed_spreads=spreads,
         drift=drift, diffusion=diffusion,
     )

@@ -19,7 +19,8 @@ invariant-manifold constructions built on top stay exact to rounding.
 Canonical form: terms are merged when their (rate, freq) pairs coincide up to
 relative tolerance 1e-12, frequencies are normalized to be >= 0, trailing
 polynomial coefficients below 1e-14 (relative to the term's largest
-coefficient, floored at 1) are trimmed, and empty terms are dropped.  The
+coefficient, floored at the function's largest coefficient capped at 1) are
+trimmed, and empty terms are dropped.  The
 term list is sorted, so structural comparison is meaningful.
 
 There is no cap on term count: products emit sum and difference frequencies,
@@ -64,7 +65,7 @@ _ZERO_TOL = 1e-14        # zero-function detection
 
 def _trim(coeffs: Sequence[float], scale: float) -> tuple[float, ...]:
     """Drop trailing coefficients that are negligible at the given scale."""
-    tol = _COEFF_TRIM * max(1.0, scale)
+    tol = _COEFF_TRIM * scale
     out = list(coeffs)
     while out and abs(out[-1]) <= tol:
         out.pop()
@@ -166,9 +167,12 @@ def _canonical_terms(raw: Iterable[QETerm]) -> tuple[QETerm, ...]:
                 continue
         merged.append(t)
 
+    # The function's own floor keeps a small function from trimming to zero.
+    scales = [t.scale() for t in merged]
+    floor = min(1.0, max(scales, default=0.0))
     out: list[QETerm] = []
-    for t in merged:
-        scale = t.scale()
+    for t, scale in zip(merged, scales):
+        scale = max(floor, scale)
         cosp = _trim(t.cos_poly, scale)
         sinp = _trim(t.sin_poly, scale)
         if not cosp and not sinp:

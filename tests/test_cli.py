@@ -36,7 +36,7 @@ def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("days = 5\n# comment line\nnoise_sd = 0.001  # inline\n\n")
     parsed = cli._parse_config_file(cfg)
-    assert parsed == {"days": "5", "noise_sd": "0.001"}
+    assert parsed == {"days": ("5", 1), "noise_sd": ("0.001", 3)}
     cfg.write_text("days 5\n")
     with pytest.raises(cli.ConfigError):
         cli._parse_config_file(cfg)
@@ -53,7 +53,7 @@ def test_non_utf8_config_file_exits_with_config_error(tmp_path, capsys):
 def test_config_file_with_byte_order_mark(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfdays = 5\nnoise_sd = 0.001\n")
-    assert cli._parse_config_file(cfg) == {"days": "5", "noise_sd": "0.001"}
+    assert cli._parse_config_file(cfg) == {"days": ("5", 1), "noise_sd": ("0.001", 2)}
 
 
 def test_main_calls_do_not_share_settings(tmp_path, monkeypatch):
@@ -230,6 +230,13 @@ def test_solver_failure_prints_one_stderr_line_in_a_process(tmp_path):
     ("check --family ns-plain --depth 9 --states 4", 2, True),
     ("check --family ns-strategy1 --depth 3", 2, True),
     ("check --family ns-strategy2 --states 1", 2, True),
+    # option keys the command or the family does not read
+    ("synth --set dayz=5", 2, True),
+    ("synth --set substeps=4", 2, True),
+    ("calibrate --dataset {data} --set theta_true=" + SEP, 2, True),
+    ("check --family cdv-example --set sigmaa=1", 2, True),
+    ("check --family ns-plain --set beta=0.1,0.2", 2, True),
+    ("check --family ns-strategy2 --set beta=0.1,0.2", 2, True),
     # an overflowing martingale statistic, and no numpy warning before its line
     ("simulate --set sigma=1e200,0.1,0.1 --paths 100 --horizon 0.02 --dt 0.01", 5, False),
 ])
@@ -245,6 +252,24 @@ def test_bad_settings_exit_with_one_error_line(tmp_path, capsys, argv, code, in_
         assert proc.returncode == code
         err = proc.stderr
     assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_unknown_option_names_the_key_and_where_it_was_set(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("days = 5\n# comment line\nnoise = 0.001\n")
+    capsys.readouterr()
+    assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        f"error: command 'synth' takes no option 'noise' (set by {cfg}:3)\n")
+    assert run("check", "--family", "cdv-example", "--set", "sigmaa=1",
+               "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        "error: family 'cdv-example' takes no option 'sigmaa' (set by --set)\n")
+    assert run("check", "--family", "ns-plain", "--depth", "2",
+               "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (
+        "error: family 'ns-plain' takes no option 'depth' (set by --depth)\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_read_dataset_requires_contiguous_dates(tmp_path):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mchjm import dynamics, fdr, qe
-from mchjm.curves import AnalyticCurve, MultiCurveState
+from mchjm import dynamics, fdr, geometry, qe
+from mchjm.curves import DEFAULT_GRID, AnalyticCurve, MultiCurveState
 from mchjm.dynamics import NonzeroConditionError, NumericalError, SimConfig
 
 THETA0 = SimpleNamespace(
@@ -193,10 +193,46 @@ def test_tangency_constant_direction():
     rng = np.random.default_rng(6)
     states = []
     for _ in range(3):
-        z = rng.normal(scale=0.02, size=12)
+        z = rng.normal(scale=0.02, size=6)
         z[0] = abs(z[0]) + 0.05
         states.append(z)
     check_tangency(real, spec, states, np.linspace(0.0, 6.0, 25), atol=5e-9)
+
+
+def embedding_rank(real: fdr.FDRRealization, z: np.ndarray, step: float) -> int:
+    """Numerical rank of the embedding's Jacobian at ``z`` on
+    ``DEFAULT_GRID``: central differences with a fixed step, singular
+    values above 1e-8 of the largest."""
+    cols = []
+    for k in range(real.n):
+        zp, zm = z.copy(), z.copy()
+        zp[k] += step
+        zm[k] -= step
+        curves = real.curve_values(zp, DEFAULT_GRID) - real.curve_values(zm, DEFAULT_GRID)
+        spreads = real.embed_spreads(zp) - real.embed_spreads(zm)
+        cols.append(np.r_[curves.ravel(), spreads] / (2 * step))
+    sv = np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)
+    return int(np.sum(sv > 1e-8 * sv[0]))
+
+
+@pytest.mark.parametrize("builder, z", [
+    ("hw3", (0.0,) * 5),
+    ("cdv-example", (0.0,) * 6),
+    ("cdv-example", (0.3, 0.01, -0.02, 0.05, 0.1, -0.03)),
+])
+def test_explicit_realizations_are_minimal(builder, z):
+    """A minimal realization has as many states as its embedding has rank,
+    and as the Lie algebra of the model's fields has dimensions (Björk and
+    Svensson, Math. Finance 11, 2001)."""
+    if builder == "hw3":
+        real, spec = fdr.build_hw3_fdr(THETA0, Y_NS, YM0), hw3_spec()
+    else:
+        real = fdr.build_cdv_example_fdr(CDV_SIG, CDV_A, CDV_BC, CDV_BS, Y_NS, YM0)
+        spec = fdr.cdv_example_spec(CDV_SIG, CDV_A, CDV_BC, CDV_BS)
+    z = np.array(z)
+    mu, sigs = geometry.model_fields(spec)
+    span = geometry.span_dimension_estimate([mu, *sigs], real.embed(z), 3)
+    assert real.n == embedding_rank(real, z, 1e-3) == embedding_rank(real, z, 1e-6) == span
 
 
 def test_constant_vol_builder_needs_a_state_independent_spec():
@@ -233,10 +269,10 @@ def test_zero_noise_state_flow_is_pure_time():
 
 
 def test_degenerate_direction_fields_couple_to_constant_vol():
-    """With the spread-proportional loadings switched off, the 12-state
+    """With the spread-proportional loadings switched off, the six-state
     realization and the generic constant-volatility one describe the same
     model; coupled by the same increments their embeddings agree up to the
-    Heun error of the deterministic 2-blocks, which is O(dt^2) here."""
+    discretization error of the two Heun schemes."""
     ym = YM0
     cdv = fdr.build_cdv_example_fdr(CDV_SIG, CDV_A, CDV_BC, (0.0, 0.0), Y_NS, ym)
     zero = qe.QEFunction(())
@@ -282,10 +318,7 @@ def test_batched_heun_matches_a_per_path_loop(builder):
             if step + 1 == 10:
                 want[p, 1] = z
         want[p, 2] = z
-    if builder == "cdv-example":
-        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-    else:
-        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, want)
     # one state steps as the written-out Heun step with matrix-vector products
     z, dW = want[0, 1], inc[0, 10]
     az, bz = real.drift(z), real.diffusion(z)

@@ -237,6 +237,12 @@ def test_property_derive_undoes_integrate(f):
 
 @settings(deadline=None, max_examples=40)
 @given(qe_functions(), qe_functions())
+# Every coefficient of this product is below 1e-14, but the product reaches
+# 2.2e-11 on [0, 2]: the trim must not take it for zero.
+@example(
+    qe.QEFunction((qe.QETerm(1.0, 0.7, (), (0.0, 1.19e-7)),)),
+    qe.QEFunction((qe.QETerm(2.0, 0.7, (), (0.0, 1.19e-7)),)),
+)
 def test_property_multiply_evaluates_pointwise(f, g):
     xs = np.linspace(0.0, 2.0, 41)
     scale = 1.0 + np.max(np.abs(f(xs))) * np.max(np.abs(g(xs)))

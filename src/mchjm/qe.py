@@ -23,6 +23,10 @@ coefficient, floored at the function's largest coefficient capped at 1) are
 trimmed, and empty terms are dropped.  The
 term list is sorted, so structural comparison is meaningful.
 
+H's closed form reaches coefficients m!/|z|^{m+1} for x^m e^{zx}, z = rate +
+i freq, which cancel on evaluation; up to |z| = 1e-4 H sums the power series
+of e^{-zx} int_0^x instead, whose coefficients stay of the term's own size.
+
 There is no cap on term count: products emit sum and difference frequencies,
 so repeated multiplication can grow expressions; memory simply grows with
 them.  At desk scale (a handful of exponentials per curve) this is never a
@@ -61,6 +65,13 @@ __all__ = [
 _MERGE_RTOL = 1e-12      # rate/freq coincidence
 _COEFF_TRIM = 1e-14      # trailing-coefficient trim, relative
 _ZERO_TOL = 1e-14        # zero-function detection
+_SERIES_RATE = 1e-4      # |rate + i freq| up to which H sums a power series
+
+
+def _same_root(t: "QETerm", rate: float, freq: float) -> bool:
+    """Whether t's (rate, freq) coincides with (rate, freq) up to _MERGE_RTOL."""
+    return (abs(t.rate - rate) <= _MERGE_RTOL * max(1.0, abs(rate))
+            and abs(t.freq - freq) <= _MERGE_RTOL * max(1.0, abs(freq)))
 
 
 def _trim(coeffs: Sequence[float], scale: float) -> tuple[float, ...]:
@@ -153,19 +164,12 @@ def _canonical_terms(raw: Iterable[QETerm]) -> tuple[QETerm, ...]:
     pre.sort(key=lambda t: (t.rate, t.freq))
     merged: list[QETerm] = []
     for t in pre:
-        if merged:
+        if merged and _same_root(t, merged[-1].rate, merged[-1].freq):
             last = merged[-1]
-            same_rate = abs(t.rate - last.rate) <= _MERGE_RTOL * max(1.0, abs(last.rate))
-            same_freq = abs(t.freq - last.freq) <= _MERGE_RTOL * max(1.0, abs(last.freq))
-            if same_rate and same_freq:
-                merged[-1] = QETerm(
-                    last.rate,
-                    last.freq,
-                    _padd(last.cos_poly, t.cos_poly),
-                    _padd(last.sin_poly, t.sin_poly),
-                )
-                continue
-        merged.append(t)
+            merged[-1] = QETerm(last.rate, last.freq, _padd(last.cos_poly, t.cos_poly),
+                                _padd(last.sin_poly, t.sin_poly))
+        else:
+            merged.append(t)
 
     # The function's own floor keeps a small function from trimming to zero.
     scales = [t.scale() for t in merged]
@@ -296,12 +300,31 @@ def derive(f: QEFunction) -> QEFunction:
     return QEFunction(tuple(out))
 
 
+def _series_antiderivative(t: QETerm) -> QEFunction:
+    """int_0^x of a term with small z = rate + i freq, as Re[e^{zx} R(x)].
+
+    With P = p - i q the term is Re[e^{zx} P(x)], and x^m in P adds
+    sum_n r_n x^{m+1+n} to R, r_0 = P_m/(m+1), r_{n+1} = -z r_n/(m+n+2).
+    At |z| <= _SERIES_RATE, r_5 is below 1e-22 r_0: five terms suffice.
+    """
+    z = complex(t.rate, t.freq)
+    pad = (0.0,) * (t.degree() + 1)
+    big_p = [complex(a, -b) for a, b in zip(_padd(t.cos_poly, pad), _padd(t.sin_poly, pad))]
+    r = [0j] * (len(big_p) + 5)
+    for m, c in enumerate(big_p):
+        for k in range(m + 1, m + 6):
+            c /= k
+            r[k] += c
+            c *= -z
+    return QEFunction((QETerm(t.rate, t.freq, tuple(c.real for c in r), tuple(-c.imag for c in r)),))
+
+
 def _antiderivative_term(t: QETerm) -> QEFunction:
     """One antiderivative (constant of integration unspecified)."""
     g, w = t.rate, t.freq
+    if math.hypot(g, w) <= _SERIES_RATE:
+        return _series_antiderivative(t)
     p, q = list(t.cos_poly), list(t.sin_poly)
-    if g == 0.0 and w == 0.0:
-        return QEFunction((QETerm(0.0, 0.0, (0.0, *(c / (k + 1) for k, c in enumerate(p)))),))
     # Solve d/dx e^{gx}(u cos wx + v sin wx) = e^{gx}(p cos wx + q sin wx):
     #   g u_k + (k+1) u_{k+1} + w v_k = p_k
     #   g v_k + (k+1) v_{k+1} - w u_k = q_k
@@ -446,19 +469,8 @@ def joint_annihilator(funcs: Sequence[QEFunction]) -> AnnihilatorPolynomial:
     roots: dict[tuple[float, float], int] = {}
     for f in funcs:
         for t in f.terms:
-            # Identify keys up to the merge tolerance against existing ones.
-            key = None
-            for k in roots:
-                if (
-                    abs(t.rate - k[0]) <= _MERGE_RTOL * max(1.0, abs(k[0]))
-                    and abs(t.freq - k[1]) <= _MERGE_RTOL * max(1.0, abs(k[1]))
-                ):
-                    key = k
-                    break
-            if key is None:
-                key = (t.rate, t.freq)
-                roots[key] = 0
-            roots[key] = max(roots[key], t.degree() + 1)
+            key = next((k for k in roots if _same_root(t, *k)), (t.rate, t.freq))
+            roots[key] = max(roots.get(key, 0), t.degree() + 1)
     if not roots:
         raise ValueError("zero family has no minimal annihilator")
     poly = np.array([1.0])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
 
 from mchjm import qe
 
@@ -76,6 +76,17 @@ def test_integrate_ns_vs_simpson_oracle():
     xs = np.linspace(0.0, 7.0, 10_001)
     integral = simpson(y0 + (y1 + y2 * xs) * np.exp(-a * xs), x=xs)
     assert math.exp(-F(7.0)) == pytest.approx(math.exp(-integral), rel=1e-10)
+
+
+@pytest.mark.parametrize("rate", [-2e-5, 1e-7, 1e-4, 0.05])
+def test_integrate_small_rate_vs_quadrature(rate):
+    # int_0^x (0.3 + 0.3 s + s^2) e^{rate s} ds against adaptive quadrature
+    # out to 30 years: the series up to rate 1e-4, the closed form at 0.05.
+    f = qe.poly_exp((0.3, 0.3, 1.0), rate)
+    F = qe.integrate_from_zero(f)
+    for x in (0.5, 3.0, 10.0, 30.0):
+        expected, _ = quad(f, 0.0, x, epsabs=0.0, epsrel=1e-13)
+        assert F(x) == pytest.approx(expected, rel=1e-9)
 
 
 def test_multiply_exponentials_product_rule():
@@ -228,6 +239,11 @@ def test_property_annihilator_kills_function(f):
 
 @settings(deadline=None, max_examples=60)
 @given(qe_functions())
+# Small rates: the closed-form antiderivative's coefficients reach
+# m!/rate^{m+1}, and at these rates they lost the derivative to rounding.
+@example(qe.QEFunction((qe.QETerm(2.0**-24, 0.0, (0.0, 0.0, 1.0)),)))
+@example(qe.QEFunction((qe.QETerm(1e-5, 0.0, (0.0, 2.0625)),)))
+@example(qe.QEFunction((qe.QETerm(2.0**-23, 0.0, (0.0, 0.90625)),)))
 def test_property_derive_undoes_integrate(f):
     F = qe.integrate_from_zero(f)
     assert qe.derive(F).isclose(f, rtol=1e-11)
